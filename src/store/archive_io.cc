@@ -1,17 +1,14 @@
 #include "store/archive_io.h"
 
 #include <bit>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <utility>
 
 #include "core/delta.h"
 #include "store/atomic_writer.h"
+#include "store/container.h"
 #include "store/delta.h"
-#include "store/io_util.h"
 #include "store/snapshot.h"
 
 namespace rdfalign::store {
@@ -30,153 +27,39 @@ ArchiveSectionId ExpectedSectionId(uint64_t num_versions, uint64_t index) {
   return ArchiveSectionId::kEntities;
 }
 
-Status WriteExact(std::ostream& out, const void* data, size_t n,
-                  const std::string& path) {
-  return store::WriteExact(out, data, n, "archive", path);  // io_util.h
-}
-
 /// Caps num_versions so every size computation below stays far from
 /// overflow (also the VersionArchive practical range).
 constexpr uint64_t kMaxArchiveVersions = uint64_t{1} << 20;
 
-/// Validates the archive header and the variable-length section table.
-/// `available` bytes of the file are present at `base`.
-Status ValidateArchiveHeader(const unsigned char* base, uint64_t available,
-                             uint64_t actual_size, ArchiveHeader* header,
-                             std::vector<SectionEntry>* table,
-                             const std::string& name) {
-  if (available < sizeof(ArchiveHeader)) {
-    return Status::Corruption("truncated archive (no header): " + name);
+bool ExpectArchiveSections(const unsigned char* bytes,
+                           std::span<SectionSpec> specs) {
+  const uint64_t num_versions = LoadHeader<ArchiveHeader>(bytes).num_versions;
+  if (num_versions > kMaxArchiveVersions) return false;
+  // Embedded images validate themselves when loaded; entity columns must
+  // hold whole ids.
+  for (uint64_t s = 0; s < specs.size(); ++s) {
+    const ArchiveSectionId id = ExpectedSectionId(num_versions, s);
+    specs[s] = {RawId(id), kDataDependentSize,
+                id == ArchiveSectionId::kEntities ? sizeof(EntityId) : 1};
   }
-  std::memcpy(header, base, sizeof(ArchiveHeader));
-  if (header->magic != kArchiveMagic) {
-    return Status::InvalidArgument("not an rdfalign archive: " + name);
-  }
-  if (header->version != kArchiveFormatVersion) {
-    return Status::NotSupported(
-        "unsupported archive format version " +
-        std::to_string(header->version) + " (this build reads version " +
-        std::to_string(kArchiveFormatVersion) + "): " + name);
-  }
-  if (header->endian_tag != kEndianTag) {
-    return Status::NotSupported(
-        "archive written with a different byte order: " + name);
-  }
-  if (header->num_versions > kMaxArchiveVersions ||
-      header->num_sections != ExpectedSections(header->num_versions)) {
-    return Status::Corruption("implausible archive version count: " + name);
-  }
-  if (header->file_size != actual_size) {
-    return Status::Corruption(
-        "archive size mismatch (header says " +
-        std::to_string(header->file_size) + " bytes, file has " +
-        std::to_string(actual_size) + "): " + name);
-  }
-  const uint64_t payload_start =
-      sizeof(ArchiveHeader) + header->num_sections * sizeof(SectionEntry);
-  if (available < payload_start) {
-    return Status::Corruption("truncated archive (no section table): " +
-                              name);
-  }
-  table->resize(header->num_sections);
-  if (header->num_sections > 0) {  // empty table => null data()
-    std::memcpy(table->data(), base + sizeof(ArchiveHeader),
-                header->num_sections * sizeof(SectionEntry));
-  }
-  {
-    ArchiveHeader zeroed = *header;
-    zeroed.header_checksum = 0;
-    Checksummer c;
-    c.Update(&zeroed, sizeof(zeroed));
-    c.Update(table->data(), header->num_sections * sizeof(SectionEntry));
-    if (c.Finish() != header->header_checksum) {
-      return Status::Corruption("archive header checksum mismatch: " + name);
-    }
-  }
-  uint64_t prev_end = payload_start;
-  for (uint64_t s = 0; s < header->num_sections; ++s) {
-    const SectionEntry& sec = (*table)[s];
-    const ArchiveSectionId expected_id =
-        ExpectedSectionId(header->num_versions, s);
-    if (sec.id != static_cast<uint32_t>(expected_id) || sec.reserved != 0) {
-      return Status::Corruption("malformed archive section table: " + name);
-    }
-    if (expected_id == ArchiveSectionId::kEntities &&
-        sec.size % sizeof(EntityId) != 0) {
-      return Status::Corruption(
-          "archive entity section holds partial elements: " + name);
-    }
-    if (sec.offset % kSectionAlignment != 0 || sec.offset < prev_end ||
-        sec.offset > header->file_size ||
-        sec.size > header->file_size - sec.offset) {
-      return Status::Corruption("archive section " + std::to_string(s) +
-                                " out of bounds: " + name);
-    }
-    prev_end = sec.offset + sec.size;
-  }
-  return Status::OK();
+  return true;
 }
 
-/// Opens `path`, reads header + table, validates both without allocating
-/// anything file-sized; returns the actual size with `in` open.
-Result<uint64_t> OpenAndValidateArchivePrefix(
-    const std::string& path, std::ifstream& in, ArchiveHeader* header,
-    std::vector<SectionEntry>* table) {
-  std::error_code ec;
-  if (!std::filesystem::is_regular_file(path, ec) || ec) {
-    return Status::IOError("not a regular file: " + path);
-  }
-  in.open(path, std::ios::binary | std::ios::ate);
-  if (!in) {
-    return Status::IOError("cannot open file: " + path);
-  }
-  const std::streamoff pos = in.tellg();
-  if (!in || pos < 0) {
-    return Status::IOError("cannot determine file size: " + path);
-  }
-  const auto size = static_cast<uint64_t>(pos);
-  // The table length depends on the header, so the prefix is read in two
-  // steps: fixed header first, then — once num_sections is bounded — the
-  // table. ValidateArchiveHeader re-runs the header checks on the full
-  // prefix buffer.
-  unsigned char head[sizeof(ArchiveHeader)] = {};
-  const uint64_t head_bytes =
-      size < sizeof(ArchiveHeader) ? size : sizeof(ArchiveHeader);
-  in.seekg(0);
-  in.read(reinterpret_cast<char*>(head),
-          static_cast<std::streamsize>(head_bytes));
-  if (!in && head_bytes > 0) {
-    return Status::IOError("error reading file: " + path);
-  }
-  if (head_bytes < sizeof(ArchiveHeader)) {
-    return Status::Corruption("truncated archive (no header): " + path);
-  }
-  ArchiveHeader peek;
-  std::memcpy(&peek, head, sizeof(peek));
-  if (peek.magic != kArchiveMagic) {
-    return Status::InvalidArgument("not an rdfalign archive: " + path);
-  }
-  if (peek.num_versions > kMaxArchiveVersions ||
-      peek.num_sections > 2 * kMaxArchiveVersions) {
-    return Status::Corruption("implausible archive version count: " + path);
-  }
-  const uint64_t prefix_bytes =
-      sizeof(ArchiveHeader) + peek.num_sections * sizeof(SectionEntry);
-  std::vector<unsigned char> prefix(prefix_bytes, 0);
-  std::memcpy(prefix.data(), head, sizeof(ArchiveHeader));
-  const uint64_t rest =
-      size > prefix_bytes ? prefix_bytes - sizeof(ArchiveHeader)
-                          : (size - sizeof(ArchiveHeader));
-  in.read(reinterpret_cast<char*>(prefix.data() + sizeof(ArchiveHeader)),
-          static_cast<std::streamsize>(rest));
-  if (!in && rest > 0) {
-    return Status::IOError("error reading file: " + path);
-  }
-  RDFALIGN_RETURN_IF_ERROR(ValidateArchiveHeader(
-      prefix.data(), sizeof(ArchiveHeader) + rest, size, header, table,
-      path));
-  return size;
-}
+constexpr ContainerFormat kArchiveFormat = {
+    .kind = "archive",
+    .magic = kArchiveMagic,
+    .header_size = sizeof(ArchiveHeader),
+    .min_version = kArchiveFormatVersion,
+    .max_version = kArchiveFormatVersion,
+    .section_count = [](const unsigned char* h) -> uint64_t {
+      return ExpectedSections(LoadHeader<ArchiveHeader>(h).num_versions);
+    },
+    .expect = ExpectArchiveSections,
+    .section_name =
+        [](uint32_t id) {
+          return ArchiveSectionName(static_cast<ArchiveSectionId>(id));
+        },
+};
 
 }  // namespace
 
@@ -223,91 +106,31 @@ Status SaveArchive(const VersionArchive& archive, const std::string& path,
     images.push_back(std::move(image).str());
   }
 
-  const uint64_t num_sections = ExpectedSections(num_versions);
-  std::vector<SectionEntry> table(num_sections);
-  const uint64_t payload_start =
-      sizeof(ArchiveHeader) + num_sections * sizeof(SectionEntry);
-  uint64_t cursor = payload_start;
+  std::vector<SectionSource> sections;
   ArchiveSaveStats local_stats;
-  for (uint64_t s = 0; s < num_sections; ++s) {
-    const ArchiveSectionId id = ExpectedSectionId(num_versions, s);
-    const void* data = nullptr;
-    uint64_t size = 0;
-    if (id == ArchiveSectionId::kEntities) {
-      const auto& entities =
-          archive.Entities(static_cast<uint32_t>(s - num_versions));
-      data = entities.data();
-      size = entities.size() * sizeof(EntityId);
-      local_stats.entity_bytes += size;
-    } else {
-      const std::string& image = images[s];
-      data = image.data();
-      size = image.size();
-      if (id == ArchiveSectionId::kBaseSnapshot) {
-        local_stats.base_bytes += size;
-      } else {
-        local_stats.delta_bytes += size;
-      }
-    }
-    table[s].id = static_cast<uint32_t>(id);
-    table[s].reserved = 0;
-    table[s].offset = AlignUp(cursor);
-    table[s].size = size;
-    table[s].checksum = Checksum64(data, size);
-    cursor = table[s].offset + size;
+  for (uint64_t v = 0; v < num_versions; ++v) {
+    sections.push_back({RawId(v == 0 ? ArchiveSectionId::kBaseSnapshot
+                                     : ArchiveSectionId::kDelta),
+                        images[v].data(), images[v].size()});
+    (v == 0 ? local_stats.base_bytes : local_stats.delta_bytes) +=
+        images[v].size();
   }
-
-  ArchiveHeader header;
-  header.magic = kArchiveMagic;
+  for (uint32_t v = 0; v < num_versions; ++v) {
+    const std::vector<EntityId>& entities = archive.Entities(v);
+    sections.push_back({RawId(ArchiveSectionId::kEntities), entities.data(),
+                        entities.size() * sizeof(EntityId)});
+    local_stats.entity_bytes += sections.back().size;
+  }
+  ArchiveHeader header{};
   header.version = kArchiveFormatVersion;
-  header.endian_tag = kEndianTag;
   header.num_versions = num_versions;
-  header.num_sections = num_sections;
-  header.file_size = cursor;
-  header.header_checksum = 0;
-  {
-    Checksummer c;
-    c.Update(&header, sizeof(header));
-    c.Update(table.data(), table.size() * sizeof(SectionEntry));
-    header.header_checksum = c.Finish();
-  }
 
-  AtomicFileWriter writer(path, "archive");
-  RDFALIGN_RETURN_IF_ERROR(writer.Open());
-  Status body = [&]() -> Status {
-    std::ostream& out = writer.stream();
-    RDFALIGN_RETURN_IF_ERROR(WriteExact(out, &header, sizeof(header), path));
-    RDFALIGN_RETURN_IF_ERROR(WriteExact(out, table.data(),
-                                        table.size() * sizeof(SectionEntry),
-                                        path));
-    uint64_t written = payload_start;
-    const char zeros[kSectionAlignment] = {};
-    for (uint64_t s = 0; s < num_sections; ++s) {
-      if (table[s].offset > written) {
-        RDFALIGN_RETURN_IF_ERROR(
-            WriteExact(out, zeros, table[s].offset - written, path));
-      }
-      const ArchiveSectionId id = ExpectedSectionId(num_versions, s);
-      if (id == ArchiveSectionId::kEntities) {
-        const auto& entities =
-            archive.Entities(static_cast<uint32_t>(s - num_versions));
-        RDFALIGN_RETURN_IF_ERROR(WriteExact(
-            out, entities.data(), entities.size() * sizeof(EntityId), path));
-      } else {
-        RDFALIGN_RETURN_IF_ERROR(
-            WriteExact(out, images[s].data(), images[s].size(), path));
-      }
-      written = table[s].offset + table[s].size;
-    }
-    return Status::OK();
-  }();
-  if (!body.ok()) {
-    Status io = writer.status();
-    return io.ok() ? body : io;
-  }
-  RDFALIGN_RETURN_IF_ERROR(writer.Commit());
+  RDFALIGN_RETURN_IF_ERROR(
+      AtomicWriteStream(path, "archive", [&](std::ostream& out) {
+        return WriteContainer(kArchiveFormat, &header, sections, out, path);
+      }));
   if (stats != nullptr) {
-    local_stats.file_bytes = cursor;
+    local_stats.file_bytes = header.file_size;
     *stats = local_stats;
   }
   return Status::OK();
@@ -318,42 +141,12 @@ Result<VersionArchive> LoadArchive(const std::string& path,
                                    ArchiveLoadStats* stats) {
   static_assert(std::endian::native == std::endian::little,
                 "archives are read on little-endian hosts only");
-  ArchiveHeader header;
-  std::vector<SectionEntry> table;
-  std::ifstream in;
   RDFALIGN_ASSIGN_OR_RETURN(
-      const uint64_t size,
-      OpenAndValidateArchivePrefix(path, in, &header, &table));
-  std::shared_ptr<std::vector<unsigned char>> buffer;
-  try {
-    buffer = std::make_shared<std::vector<unsigned char>>(size);
-  } catch (const std::bad_alloc&) {
-    return Status::IOError("archive too large to buffer (" +
-                           std::to_string(size) + " bytes): " + path);
-  }
-  if (size > 0) {
-    in.seekg(0);
-    in.read(reinterpret_cast<char*>(buffer->data()),
-            static_cast<std::streamsize>(size));
-    if (!in) {
-      return Status::IOError("error reading file: " + path);
-    }
-  }
-  const unsigned char* base = buffer->data();
-  const uint64_t num_versions = header.num_versions;
-
+      Container c, Container::Open(kArchiveFormat, path, Acquire::kBuffer));
+  const uint64_t num_versions = c.header<ArchiveHeader>().num_versions;
   // Archive-level content verification before any section is interpreted
   // (the embedded snapshot/delta images additionally self-validate).
-  for (uint64_t s = 0; s < header.num_sections; ++s) {
-    if (Checksum64(base + table[s].offset, table[s].size) !=
-        table[s].checksum) {
-      return Status::Corruption(
-          "archive section " + std::to_string(s) + " (" +
-          std::string(ArchiveSectionName(
-              ExpectedSectionId(num_versions, s))) +
-          ") checksum mismatch: " + path);
-    }
-  }
+  RDFALIGN_RETURN_IF_ERROR(c.VerifyChecksums(/*threads=*/1));
 
   // Materialize every version by patch replay, all sharing one dictionary
   // (the VersionArchive invariant). The base snapshot adopts its arrays
@@ -362,7 +155,7 @@ Result<VersionArchive> LoadArchive(const std::string& path,
   std::vector<TripleGraph> versions;
   versions.reserve(num_versions);
   for (uint64_t v = 0; v < num_versions; ++v) {
-    const SectionEntry& sec = table[v];
+    const auto image = c.Section<unsigned char>(v);
     const std::string name =
         path + " (section " + std::string(ArchiveSectionName(
                                   ExpectedSectionId(num_versions, v))) +
@@ -370,13 +163,13 @@ Result<VersionArchive> LoadArchive(const std::string& path,
     if (v == 0) {
       RDFALIGN_ASSIGN_OR_RETURN(
           TripleGraph g,
-          LoadSnapshotFromMemory(buffer, base + sec.offset, sec.size, dict,
+          LoadSnapshotFromMemory(c.pin(), image.data(), image.size(), dict,
                                  {}, nullptr, name));
       versions.push_back(std::move(g));
     } else {
       RDFALIGN_ASSIGN_OR_RETURN(
           TripleGraph g,
-          ApplyDeltaFromMemory(versions.back(), base + sec.offset, sec.size,
+          ApplyDeltaFromMemory(versions.back(), image.data(), image.size(),
                                dict, {}, nullptr, name));
       versions.push_back(std::move(g));
     }
@@ -384,21 +177,16 @@ Result<VersionArchive> LoadArchive(const std::string& path,
   std::vector<std::vector<EntityId>> entity_of;
   entity_of.reserve(num_versions);
   for (uint64_t v = 0; v < num_versions; ++v) {
-    const SectionEntry& sec = table[num_versions + v];
-    const uint64_t count = sec.size / sizeof(EntityId);
-    if (count != versions[v].NumNodes()) {
+    const auto column = c.Section<EntityId>(num_versions + v);
+    if (column.size() != versions[v].NumNodes()) {
       return Status::Corruption(
           "archive entity column size does not match version " +
           std::to_string(v) + ": " + path);
     }
-    std::vector<EntityId> ids(count);
-    if (sec.size > 0) {
-      std::memcpy(ids.data(), base + sec.offset, sec.size);
-    }
-    entity_of.push_back(std::move(ids));
+    entity_of.emplace_back(column.begin(), column.end());
   }
   if (stats != nullptr) {
-    stats->file_bytes = size;
+    stats->file_bytes = c.size();
     stats->versions = num_versions;
   }
   return VersionArchive::Restore(options, std::move(versions),
@@ -406,59 +194,41 @@ Result<VersionArchive> LoadArchive(const std::string& path,
 }
 
 Result<ArchiveInfo> ReadArchiveInfo(const std::string& path) {
-  std::ifstream in;
-  ArchiveHeader header;
-  std::vector<SectionEntry> table;
-  RDFALIGN_RETURN_IF_ERROR(
-      OpenAndValidateArchivePrefix(path, in, &header, &table).status());
+  RDFALIGN_ASSIGN_OR_RETURN(
+      Container c, Container::Open(kArchiveFormat, path, Acquire::kPrefix));
+  const auto header = c.header<ArchiveHeader>();
   ArchiveInfo info;
   info.version = header.version;
   info.num_versions = header.num_versions;
   info.file_size = header.file_size;
-  for (uint64_t s = 0; s < header.num_sections; ++s) {
-    info.sections.push_back(ArchiveSectionInfo{
-        ExpectedSectionId(header.num_versions, s), table[s].offset,
-        table[s].size, table[s].checksum});
+  for (const SectionEntry& sec : c.table()) {
+    info.sections.push_back(
+        ArchiveSectionInfo{static_cast<ArchiveSectionId>(sec.id), sec.offset,
+                           sec.size, sec.checksum});
   }
   return info;
 }
 
 Result<uint64_t> ArchiveBaseFingerprint(const std::string& path) {
-  std::ifstream in;
-  ArchiveHeader header;
-  std::vector<SectionEntry> table;
-  RDFALIGN_RETURN_IF_ERROR(
-      OpenAndValidateArchivePrefix(path, in, &header, &table).status());
-  if (header.num_versions == 0) {
+  RDFALIGN_ASSIGN_OR_RETURN(
+      Container c, Container::Open(kArchiveFormat, path, Acquire::kPrefix));
+  if (c.header<ArchiveHeader>().num_versions == 0) {
     return Status::InvalidArgument("empty archive has no base snapshot: " +
                                    path);
   }
-  const SectionEntry& sec = table[0];
-  auto buffer = std::make_shared<std::vector<unsigned char>>(sec.size);
-  in.seekg(static_cast<std::streamoff>(sec.offset));
-  in.read(reinterpret_cast<char*>(buffer->data()),
-          static_cast<std::streamsize>(sec.size));
-  if (!in) {
-    return Status::IOError("error reading file: " + path);
-  }
-  if (Checksum64(buffer->data(), sec.size) != sec.checksum) {
-    return Status::Corruption(
-        "archive section 0 (base_snapshot) checksum mismatch: " + path);
-  }
+  RDFALIGN_ASSIGN_OR_RETURN(std::shared_ptr<std::string> image,
+                            c.ReadSection(0));
+  const auto* data = reinterpret_cast<const unsigned char*>(image->data());
+  const uint64_t size = image->size();
   RDFALIGN_ASSIGN_OR_RETURN(
       TripleGraph base,
-      LoadSnapshotFromMemory(buffer, buffer->data(), sec.size, nullptr, {},
+      LoadSnapshotFromMemory(std::move(image), data, size, nullptr, {},
                              nullptr, path + " (section base_snapshot 0)"));
   return GraphFingerprint(base);
 }
 
 bool LooksLikeArchive(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::array<char, 8> magic = {};
-  in.read(magic.data(), magic.size());
-  return in.gcount() == static_cast<std::streamsize>(magic.size()) &&
-         magic == kArchiveMagic;
+  return FileHasMagic(kArchiveFormat, path);
 }
 
 }  // namespace rdfalign::store

@@ -282,16 +282,25 @@ size_t CleanupStaleTemps(const std::string& target) {
   return removed;
 }
 
-Status AtomicWriteFile(const std::string& path, const void* data,
-                       size_t size, const char* kind) {
+Status AtomicWriteStream(const std::string& path, const char* kind,
+                         const std::function<Status(std::ostream&)>& write) {
   AtomicFileWriter writer(path, kind);
   RDFALIGN_RETURN_IF_ERROR(writer.Open());
-  if (size > 0) {
-    writer.stream().write(static_cast<const char*>(data),
-                          static_cast<std::streamsize>(size));
+  Status st = write(writer.stream());
+  if (!st.ok()) {
+    Status io = writer.status();
+    return io.ok() ? st : io;
   }
-  RDFALIGN_RETURN_IF_ERROR(writer.status());
   return writer.Commit();
+}
+
+Status AtomicWriteFile(const std::string& path, const void* data,
+                       size_t size, const char* kind) {
+  return AtomicWriteStream(path, kind, [&](std::ostream& out) {
+    out.write(static_cast<const char*>(data),
+              static_cast<std::streamsize>(size));
+    return Status::OK();
+  });
 }
 
 }  // namespace rdfalign::store

@@ -27,6 +27,7 @@
 #ifndef RDFALIGN_STORE_ATOMIC_WRITER_H_
 #define RDFALIGN_STORE_ATOMIC_WRITER_H_
 
+#include <functional>
 #include <memory>
 #include <ostream>
 #include <streambuf>
@@ -53,8 +54,8 @@ class AtomicFileWriter {
   Status Open();
 
   /// The buffered output stream over the temp file. Write failures are
-  /// latched into status() (the stream also sets failbit); WriteExact
-  /// callers keep their existing `if (!out)` checks working.
+  /// latched into status() (the stream also sets failbit, so writers'
+  /// `if (!out)` checks keep working).
   std::ostream& stream() { return *stream_; }
 
   /// First error recorded by the underlying writes, or OK.
@@ -85,6 +86,13 @@ class AtomicFileWriter {
 /// process is gone (or that carry an unparsable suffix). Returns how many
 /// were removed. Never touches `target` itself or live writers' temps.
 size_t CleanupStaleTemps(const std::string& target);
+
+/// Atomically replaces `path` with what `write` streams into an
+/// AtomicFileWriter (the store writers' file entry point). When `write`
+/// fails, the writer's errno-carrying status is preferred over the
+/// stream-level message.
+Status AtomicWriteStream(const std::string& path, const char* kind,
+                         const std::function<Status(std::ostream&)>& write);
 
 /// Convenience: atomically replaces `path` with `bytes` (used by the
 /// update-fragment writer and tests).

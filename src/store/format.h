@@ -10,7 +10,7 @@
 //
 //   [ SnapshotHeader            64 bytes                       ]
 //   [ SectionEntry * kNumSections                              ]
-//   [ section payloads, each 8-byte aligned, zero-padded gaps  ]
+//   [ section payloads, packed (store/container.h)             ]
 //
 // All integers are little-endian. The format is only written/read on
 // little-endian hosts (the loader rejects the file otherwise via the
@@ -100,12 +100,6 @@ struct SectionEntry {
 };
 static_assert(sizeof(SectionEntry) == 32);
 static_assert(std::is_trivially_copyable_v<SectionEntry>);
-
-/// Byte offset of the first section payload, per format version.
-inline constexpr size_t kPayloadStart =
-    sizeof(SnapshotHeader) + kNumSections * sizeof(SectionEntry);
-inline constexpr size_t kPayloadStartV2 =
-    sizeof(SnapshotHeader) + kNumSectionsV2 * sizeof(SectionEntry);
 
 /// Options honored by every dictionary-bearing writer (snapshot, delta,
 /// update fragment, archive — the archive inherits them into its embedded
@@ -210,12 +204,6 @@ struct DeltaHeader {
 };
 static_assert(sizeof(DeltaHeader) == 104);
 static_assert(std::is_trivially_copyable_v<DeltaHeader>);
-
-/// Byte offset of the first delta section payload, per format version.
-inline constexpr size_t kDeltaPayloadStart =
-    sizeof(DeltaHeader) + kNumDeltaSections * sizeof(SectionEntry);
-inline constexpr size_t kDeltaPayloadStartV2 =
-    sizeof(DeltaHeader) + kNumDeltaSectionsV2 * sizeof(SectionEntry);
 
 // ------------------------------------------------------------------------
 // Archive files (version 1): a base snapshot plus a delta chain plus the

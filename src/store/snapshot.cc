@@ -3,45 +3,64 @@
 #include <algorithm>
 #include <bit>
 #include <cstddef>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <utility>
 
 #include "store/atomic_writer.h"
+#include "store/container.h"
 #include "store/front_coding.h"
-#include "store/io_util.h"
-#include "store/mapped_file.h"
 #include "util/shared_array.h"
 
 namespace rdfalign::store {
 
 namespace {
 
-// Section order within a file (also the id order). Version-1 files carry
-// the first kNumSections entries; version-2 files all kNumSectionsV2.
-constexpr SectionId kSectionOrder[kNumSectionsV2] = {
-    SectionId::kTermOffsets, SectionId::kTermBlob,  SectionId::kNodeKinds,
-    SectionId::kNodeLex,     SectionId::kTriples,   SectionId::kOutOffsets,
-    SectionId::kOutPairs,    SectionId::kInOffsets, SectionId::kInSubjects,
-    SectionId::kTermPrefixLens,
-};
-
 /// Section count of a snapshot format version.
 size_t SectionCount(uint32_t version) {
   return version == kFormatVersion ? kNumSections : kNumSectionsV2;
 }
 
-/// Byte offset of the first payload of a snapshot format version.
-size_t PayloadStart(uint32_t version) {
-  return sizeof(SnapshotHeader) +
-         SectionCount(version) * sizeof(SectionEntry);
+bool ExpectSnapshotSections(const unsigned char* bytes,
+                            std::span<SectionSpec> specs) {
+  const auto h = LoadHeader<SnapshotHeader>(bytes);
+  // Bound the counts before computing expected sizes (overflow safety).
+  if (h.num_nodes >= kInvalidNode || h.num_terms >= kInvalidLex ||
+      h.num_triples > (uint64_t{1} << 40)) {
+    return false;
+  }
+  const uint64_t n = h.num_nodes;
+  const uint64_t e = h.num_triples;
+  const uint64_t t = h.num_terms;
+  // The blob and in_subjects sizes are data-dependent; LoadFromContainer
+  // cross-checks them against their offset arrays.
+  const SectionSpec all[kNumSectionsV2] = {
+      {RawId(SectionId::kTermOffsets), (t + 1) * sizeof(uint64_t)},
+      {RawId(SectionId::kTermBlob)},
+      {RawId(SectionId::kNodeKinds), n * sizeof(uint8_t)},
+      {RawId(SectionId::kNodeLex), n * sizeof(uint32_t)},
+      {RawId(SectionId::kTriples), e * sizeof(Triple)},
+      {RawId(SectionId::kOutOffsets), (n + 1) * sizeof(uint64_t)},
+      {RawId(SectionId::kOutPairs), e * sizeof(PredicateObject)},
+      {RawId(SectionId::kInOffsets), (n + 1) * sizeof(uint64_t)},
+      {RawId(SectionId::kInSubjects), kDataDependentSize, sizeof(NodeId)},
+      {RawId(SectionId::kTermPrefixLens), t * sizeof(uint32_t)},
+  };
+  std::copy_n(all, specs.size(), specs.begin());
+  return true;
 }
 
-Status WriteExact(std::ostream& out, const void* data, size_t n,
-                  const std::string& path) {
-  return store::WriteExact(out, data, n, "snapshot", path);  // io_util.h
-}
+constexpr ContainerFormat kSnapshotFormat = {
+    .kind = "snapshot",
+    .magic = kMagic,
+    .header_size = sizeof(SnapshotHeader),
+    .min_version = kFormatVersion,
+    .max_version = kFormatVersionFrontCoded,
+    .section_count = [](const unsigned char* h) -> uint64_t {
+      return SectionCount(LoadHeader<SnapshotHeader>(h).version);
+    },
+    .expect = ExpectSnapshotSections,
+    .section_name =
+        [](uint32_t id) { return SectionName(static_cast<SectionId>(id)); },
+};
 
 }  // namespace
 
@@ -81,8 +100,6 @@ Status WriteSnapshotToStream(const TripleGraph& g, std::ostream& out,
   const Dictionary& dict = g.dict();
   const bool fc = options.compress_dict;
   const uint32_t version = fc ? kFormatVersionFrontCoded : kFormatVersion;
-  const size_t num_sections = SectionCount(version);
-  const uint64_t payload_start = PayloadStart(version);
 
   // Terms referenced by this graph, renumbered densely. A shared
   // dictionary may hold terms of other graphs; those are not written.
@@ -139,352 +156,77 @@ Status WriteSnapshotToStream(const TripleGraph& g, std::ostream& out,
     return fc ? term.substr(layout.prefix_lens[i]) : term;
   };
 
-  // Section payloads: {data, size}. The term blob (section index 1) is the
-  // one section streamed term by term instead of from a contiguous buffer;
-  // it is selected by INDEX below — a null data pointer is NOT a sentinel,
-  // since any empty array section legitimately has data() == nullptr.
-  constexpr size_t kBlobIndex = 1;
-  struct Payload {
-    const void* data;
-    uint64_t size;
+  const SectionSource sections[kNumSectionsV2] = {
+      {RawId(SectionId::kTermOffsets), term_offsets.data(),
+       (num_terms + 1) * sizeof(uint64_t)},
+      {RawId(SectionId::kTermBlob), nullptr, term_offsets[num_terms],
+       [&](const PieceSink& sink) {
+         for (size_t i = 0; i < num_terms; ++i) sink(stored_bytes(i));
+       }},
+      {RawId(SectionId::kNodeKinds), kinds.data(), n * sizeof(uint8_t)},
+      {RawId(SectionId::kNodeLex), lex.data(), n * sizeof(uint32_t)},
+      {RawId(SectionId::kTriples), g.triples().data(), e * sizeof(Triple)},
+      {RawId(SectionId::kOutOffsets), g.OutOffsets().data(),
+       (n + 1) * sizeof(uint64_t)},
+      {RawId(SectionId::kOutPairs), g.OutPairs().data(),
+       e * sizeof(PredicateObject)},
+      {RawId(SectionId::kInOffsets), g.InOffsets().data(),
+       (n + 1) * sizeof(uint64_t)},
+      {RawId(SectionId::kInSubjects), g.InSubjects().data(),
+       g.InSubjects().size() * sizeof(NodeId)},
+      {RawId(SectionId::kTermPrefixLens), layout.prefix_lens.data(),
+       num_terms * sizeof(uint32_t)},
   };
-  const Payload payloads[kNumSectionsV2] = {
-      {term_offsets.data(), (num_terms + 1) * sizeof(uint64_t)},
-      {nullptr, term_offsets[num_terms]},
-      {kinds.data(), n * sizeof(uint8_t)},
-      {lex.data(), n * sizeof(uint32_t)},
-      {g.triples().data(), e * sizeof(Triple)},
-      {g.OutOffsets().data(), (n + 1) * sizeof(uint64_t)},
-      {g.OutPairs().data(), e * sizeof(PredicateObject)},
-      {g.InOffsets().data(), (n + 1) * sizeof(uint64_t)},
-      {g.InSubjects().data(), g.InSubjects().size() * sizeof(NodeId)},
-      {layout.prefix_lens.data(), num_terms * sizeof(uint32_t)},
-  };
-
-  SectionEntry table[kNumSectionsV2];
-  uint64_t cursor = payload_start;
-  for (size_t s = 0; s < num_sections; ++s) {
-    table[s].id = static_cast<uint32_t>(kSectionOrder[s]);
-    table[s].reserved = 0;
-    table[s].offset = AlignUp(cursor);
-    table[s].size = payloads[s].size;
-    if (s == kBlobIndex) {
-      Checksummer c;
-      for (size_t i = 0; i < num_terms; ++i) {
-        std::string_view bytes = stored_bytes(i);
-        c.Update(bytes.data(), bytes.size());
-      }
-      table[s].checksum = c.Finish();
-    } else {
-      table[s].checksum = Checksum64(payloads[s].data, payloads[s].size);
-    }
-    cursor = table[s].offset + table[s].size;
-  }
-
-  SnapshotHeader header;
-  header.magic = kMagic;
+  SnapshotHeader header{};
   header.version = version;
-  header.endian_tag = kEndianTag;
   header.num_nodes = n;
   header.num_triples = e;
   header.num_terms = num_terms;
-  header.num_sections = num_sections;
-  header.file_size = cursor;
-  header.header_checksum = 0;
-  {
-    Checksummer c;
-    c.Update(&header, sizeof(header));
-    c.Update(table, num_sections * sizeof(SectionEntry));
-    header.header_checksum = c.Finish();
-  }
-
-  RDFALIGN_RETURN_IF_ERROR(WriteExact(out, &header, sizeof(header), path));
-  RDFALIGN_RETURN_IF_ERROR(
-      WriteExact(out, table, num_sections * sizeof(SectionEntry), path));
-  uint64_t written = payload_start;
-  const char zeros[kSectionAlignment] = {};
-  for (size_t s = 0; s < num_sections; ++s) {
-    if (table[s].offset > written) {
-      RDFALIGN_RETURN_IF_ERROR(
-          WriteExact(out, zeros, table[s].offset - written, path));
-    }
-    if (s == kBlobIndex) {
-      for (size_t i = 0; i < num_terms; ++i) {
-        std::string_view bytes = stored_bytes(i);
-        RDFALIGN_RETURN_IF_ERROR(
-            WriteExact(out, bytes.data(), bytes.size(), path));
-      }
-    } else {
-      RDFALIGN_RETURN_IF_ERROR(
-          WriteExact(out, payloads[s].data, payloads[s].size, path));
-    }
-    written = table[s].offset + table[s].size;
-  }
-  out.flush();
-  if (!out) {
-    return Status::IOError("error writing snapshot: " + path);
-  }
-  return Status::OK();
+  return WriteContainer(kSnapshotFormat, &header,
+                        std::span(sections, SectionCount(version)), out,
+                        path);
 }
 
 Status WriteSnapshot(const TripleGraph& g, const std::string& path,
                      const StoreWriteOptions& options) {
-  // Durable atomic replace: stream into path.tmp.<pid>, fsync, rename
-  // (see store/atomic_writer.h) — a crash mid-save leaves the previous
-  // snapshot intact and never a torn file.
-  AtomicFileWriter writer(path, "snapshot");
-  RDFALIGN_RETURN_IF_ERROR(writer.Open());
-  Status st = WriteSnapshotToStream(g, writer.stream(), path, options);
-  if (!st.ok()) {
-    // Prefer the writer's errno-carrying status over the stream-level
-    // message when the failure was an I/O error.
-    Status io = writer.status();
-    return io.ok() ? st : io;
-  }
-  return writer.Commit();
+  // Durable atomic replace (store/atomic_writer.h): a crash mid-save
+  // leaves the previous snapshot intact and never a torn file.
+  return AtomicWriteStream(path, "snapshot", [&](std::ostream& out) {
+    return WriteSnapshotToStream(g, out, path, options);
+  });
 }
 
 namespace {
 
-/// The validated raw view of a snapshot: base pointer, header, and the
-/// section table. `pin` keeps the underlying buffer or mapping alive.
-/// Version-1 files fill only the first kNumSections table entries.
-struct RawSnapshot {
-  std::shared_ptr<const void> pin;
-  const unsigned char* base = nullptr;
-  uint64_t size = 0;
-  SnapshotHeader header;
-  SectionEntry table[kNumSectionsV2];
-};
-
-/// Header and section-table validation shared by the loader and
-/// ReadSnapshotInfo. `actual_size` is the real on-disk size; the first
-/// PayloadStart(version) bytes must be present at `base`.
-Status ValidateHeader(const unsigned char* base, uint64_t available,
-                      uint64_t actual_size, SnapshotHeader* header,
-                      SectionEntry* table, const std::string& path) {
-  if (available < sizeof(SnapshotHeader)) {
-    return Status::Corruption("truncated snapshot (no header): " + path);
-  }
-  std::memcpy(header, base, sizeof(SnapshotHeader));
-  if (header->magic != kMagic) {
-    return Status::InvalidArgument("not an rdfalign snapshot: " + path);
-  }
-  if (header->version != kFormatVersion &&
-      header->version != kFormatVersionFrontCoded) {
-    return Status::NotSupported(
-        "unsupported snapshot format version " +
-        std::to_string(header->version) + " (this build reads versions " +
-        std::to_string(kFormatVersion) + "-" +
-        std::to_string(kFormatVersionFrontCoded) + "): " + path);
-  }
-  if (header->endian_tag != kEndianTag) {
-    return Status::NotSupported(
-        "snapshot written with a different byte order: " + path);
-  }
-  const size_t num_sections = SectionCount(header->version);
-  const uint64_t payload_start = PayloadStart(header->version);
-  if (header->num_sections != num_sections) {
-    return Status::Corruption("unexpected section count: " + path);
-  }
-  if (header->file_size != actual_size) {
-    return Status::Corruption(
-        "snapshot size mismatch (header says " +
-        std::to_string(header->file_size) + " bytes, file has " +
-        std::to_string(actual_size) + "): " + path);
-  }
-  if (available < payload_start) {
-    return Status::Corruption("truncated snapshot (no section table): " +
-                              path);
-  }
-  std::memcpy(table, base + sizeof(SnapshotHeader),
-              num_sections * sizeof(SectionEntry));
-  {
-    // The header checksum covers header + table with the field zeroed.
-    SnapshotHeader zeroed = *header;
-    zeroed.header_checksum = 0;
-    Checksummer c;
-    c.Update(&zeroed, sizeof(zeroed));
-    c.Update(table, num_sections * sizeof(SectionEntry));
-    if (c.Finish() != header->header_checksum) {
-      return Status::Corruption("snapshot header checksum mismatch: " + path);
-    }
-  }
-  // Bound the counts before computing expected sizes (overflow safety).
-  if (header->num_nodes >= kInvalidNode || header->num_terms >= kInvalidLex ||
-      header->num_triples > (uint64_t{1} << 40)) {
-    return Status::Corruption("implausible snapshot counts: " + path);
-  }
-  const uint64_t n = header->num_nodes;
-  const uint64_t e = header->num_triples;
-  const uint64_t t = header->num_terms;
-  // Fixed expected sizes (blob and in_subjects are data-dependent; their
-  // sizes are cross-checked against the offset arrays during load).
-  const uint64_t expected[kNumSectionsV2] = {
-      (t + 1) * sizeof(uint64_t),  // term_offsets
-      table[1].size,               // term_blob: data-dependent
-      n * sizeof(uint8_t),         // node_kinds
-      n * sizeof(uint32_t),        // node_lex
-      e * sizeof(Triple),          // triples
-      (n + 1) * sizeof(uint64_t),  // out_offsets
-      e * sizeof(PredicateObject),  // out_pairs
-      (n + 1) * sizeof(uint64_t),  // in_offsets
-      table[8].size,               // in_subjects: data-dependent
-      t * sizeof(uint32_t),        // term_prefix_lens (v2 only)
-  };
-  uint64_t prev_end = payload_start;
-  for (size_t s = 0; s < num_sections; ++s) {
-    const SectionEntry& sec = table[s];
-    if (sec.id != static_cast<uint32_t>(kSectionOrder[s]) ||
-        sec.reserved != 0) {
-      return Status::Corruption("malformed section table: " + path);
-    }
-    if (sec.size != expected[s]) {
-      return Status::Corruption("section " +
-                                std::string(SectionName(kSectionOrder[s])) +
-                                " has unexpected size: " + path);
-    }
-    if (sec.offset % kSectionAlignment != 0 || sec.offset < prev_end ||
-        sec.offset > header->file_size ||
-        sec.size > header->file_size - sec.offset) {
-      return Status::Corruption("section " +
-                                std::string(SectionName(kSectionOrder[s])) +
-                                " out of bounds: " + path);
-    }
-    prev_end = sec.offset + sec.size;
-  }
-  return Status::OK();
-}
-
-/// Opens `path` for buffered reading and validates the snapshot header and
-/// section table from the first kPayloadStart bytes, without allocating
-/// anything file-sized: a junk or crafted file is rejected from its prefix
-/// alone. Only regular files are accepted — a directory "opens" as an
-/// ifstream on Linux and tellg() then reports a nonsense size (observed:
-/// -1 or LLONG_MAX). On success `in` is open and the actual file size is
-/// returned.
-Result<uint64_t> OpenAndValidatePrefix(const std::string& path,
-                                       std::ifstream& in,
-                                       SnapshotHeader* header,
-                                       SectionEntry* table) {
-  std::error_code ec;
-  if (!std::filesystem::is_regular_file(path, ec) || ec) {
-    return Status::IOError("not a regular file: " + path);
-  }
-  in.open(path, std::ios::binary | std::ios::ate);
-  if (!in) {
-    return Status::IOError("cannot open file: " + path);
-  }
-  const std::streamoff pos = in.tellg();
-  if (!in || pos < 0) {
-    return Status::IOError("cannot determine file size: " + path);
-  }
-  const auto size = static_cast<uint64_t>(pos);
-  in.seekg(0);
-  // Large enough for either format version's header + section table; the
-  // validator reads only the entries its version declares.
-  unsigned char head[kPayloadStartV2] = {};
-  const uint64_t head_bytes =
-      size < kPayloadStartV2 ? size : kPayloadStartV2;
-  in.read(reinterpret_cast<char*>(head),
-          static_cast<std::streamsize>(head_bytes));
-  if (!in && head_bytes > 0) {
-    return Status::IOError("error reading file: " + path);
-  }
-  RDFALIGN_RETURN_IF_ERROR(
-      ValidateHeader(head, head_bytes, size, header, table, path));
-  return size;
-}
-
-/// Produces a RawSnapshot whose header and section table are validated.
-/// The buffered path validates the prefix before allocating; the mmap
-/// path validates in place after mapping.
-Result<RawSnapshot> AcquireBytes(const std::string& path, bool use_mmap) {
-  RawSnapshot raw;
-  if (use_mmap) {
-    RDFALIGN_ASSIGN_OR_RETURN(std::shared_ptr<MappedFile> file,
-                              MappedFile::Open(path));
-    raw.base = file->data();
-    raw.size = file->size();
-    raw.pin = std::move(file);
-    RDFALIGN_RETURN_IF_ERROR(ValidateHeader(raw.base, raw.size, raw.size,
-                                            &raw.header, raw.table, path));
-    return raw;
-  }
-  std::ifstream in;
-  RDFALIGN_ASSIGN_OR_RETURN(
-      const uint64_t size,
-      OpenAndValidatePrefix(path, in, &raw.header, raw.table));
-  // The header vouched for the size; a genuinely huge snapshot can still
-  // exceed memory, which must come back as a Status, not a bad_alloc.
-  std::shared_ptr<std::vector<unsigned char>> buffer;
-  try {
-    buffer = std::make_shared<std::vector<unsigned char>>(size);
-  } catch (const std::bad_alloc&) {
-    return Status::IOError("snapshot too large to buffer (" +
-                           std::to_string(size) + " bytes): " + path);
-  }
-  if (size > 0) {
-    in.seekg(0);
-    in.read(reinterpret_cast<char*>(buffer->data()),
-            static_cast<std::streamsize>(size));
-    if (!in) {
-      return Status::IOError("error reading file: " + path);
-    }
-  }
-  raw.base = buffer->data();
-  raw.size = size;
-  raw.pin = std::move(buffer);
-  return raw;
-}
-
-template <typename T>
-std::span<const T> SectionSpan(const RawSnapshot& raw, size_t index) {
-  // Sections are 8-byte aligned and both backings (page-aligned mapping,
-  // operator-new buffer) are at least that aligned, so the reinterpret_cast
-  // is sound for the fixed-width little-endian element types used here.
-  return {reinterpret_cast<const T*>(raw.base + raw.table[index].offset),
-          static_cast<size_t>(raw.table[index].size / sizeof(T))};
-}
-
 /// The shared body of the file and memory loaders: checksums, structural
-/// validation, dictionary interning, zero-copy array adoption. `raw` must
-/// hold a validated header and section table.
-Result<TripleGraph> LoadFromRaw(const RawSnapshot& raw,
-                                std::shared_ptr<Dictionary> dict,
-                                const SnapshotLoadOptions& options,
-                                SnapshotLoadStats* stats,
-                                const std::string& path) {
+/// validation, dictionary interning, zero-copy array adoption.
+Result<TripleGraph> LoadFromContainer(const Container& c,
+                                      std::shared_ptr<Dictionary> dict,
+                                      const SnapshotLoadOptions& options,
+                                      SnapshotLoadStats* stats,
+                                      const std::string& path) {
   static_assert(std::endian::native == std::endian::little,
                 "snapshots are read on little-endian hosts only");
-  const uint64_t n = raw.header.num_nodes;
-  const uint64_t e = raw.header.num_triples;
-  const uint64_t t = raw.header.num_terms;
-
-  const bool fc = raw.header.version == kFormatVersionFrontCoded;
-  const size_t num_sections = SectionCount(raw.header.version);
+  const auto header = c.header<SnapshotHeader>();
+  const uint64_t n = header.num_nodes;
+  const uint64_t e = header.num_triples;
+  const uint64_t t = header.num_terms;
+  const bool fc = header.version == kFormatVersionFrontCoded;
   if (options.verify_checksums) {
-    for (size_t s = 0; s < num_sections; ++s) {
-      if (Checksum64(raw.base + raw.table[s].offset, raw.table[s].size) !=
-          raw.table[s].checksum) {
-        return Status::Corruption(
-            "section " + std::string(SectionName(kSectionOrder[s])) +
-            " checksum mismatch: " + path);
-      }
-    }
+    RDFALIGN_RETURN_IF_ERROR(c.VerifyChecksums(/*threads=*/1));
   }
 
-  const auto term_offsets = SectionSpan<uint64_t>(raw, 0);
-  const auto blob = SectionSpan<char>(raw, 1);
-  const auto kinds = SectionSpan<uint8_t>(raw, 2);
-  const auto lex = SectionSpan<uint32_t>(raw, 3);
-  const auto triples = SectionSpan<Triple>(raw, 4);
-  const auto out_offsets = SectionSpan<uint64_t>(raw, 5);
-  const auto out_pairs = SectionSpan<PredicateObject>(raw, 6);
-  const auto in_offsets = SectionSpan<uint64_t>(raw, 7);
-  const auto in_subjects = SectionSpan<NodeId>(raw, 8);
+  const auto term_offsets = c.Section<uint64_t>(0);
+  const auto blob = c.Section<char>(1);
+  const auto kinds = c.Section<uint8_t>(2);
+  const auto lex = c.Section<uint32_t>(3);
+  const auto triples = c.Section<Triple>(4);
+  const auto out_offsets = c.Section<uint64_t>(5);
+  const auto out_pairs = c.Section<PredicateObject>(6);
+  const auto in_offsets = c.Section<uint64_t>(7);
+  const auto in_subjects = c.Section<NodeId>(8);
   const auto prefix_lens =
-      fc ? SectionSpan<uint32_t>(raw, 9) : std::span<const uint32_t>{};
+      fc ? c.Section<uint32_t>(9) : std::span<const uint32_t>{};
 
   // Structural validation: everything FromIndexedParts trusts. Runs on
   // every load — these invariants are what make a malformed file safe to
@@ -492,9 +234,6 @@ Result<TripleGraph> LoadFromRaw(const RawSnapshot& raw,
   const auto corrupt = [&path](std::string_view what) {
     return Status::Corruption(std::string(what) + ": " + path);
   };
-  if (raw.table[8].size % sizeof(NodeId) != 0) {
-    return corrupt("in-index subject section misaligned");
-  }
   uint64_t arena_bytes = 0;
   if (fc) {
     // Front-coded geometry: offsets span the suffix blob, restarts are
@@ -574,7 +313,7 @@ Result<TripleGraph> LoadFromRaw(const RawSnapshot& raw,
   // fresh dictionary this assigns ids 0..t-1 in file order (identity map);
   // with a shared dictionary the ids are remapped transparently.
   if (dict == nullptr) dict = std::make_shared<Dictionary>();
-  dict->PinArena(raw.pin);
+  dict->PinArena(c.pin());
   const size_t dict_before = dict->size();
   std::vector<LexId> remap(t);
   bool identity = true;
@@ -624,7 +363,7 @@ Result<TripleGraph> LoadFromRaw(const RawSnapshot& raw,
   }
 
   if (stats != nullptr) {
-    stats->file_bytes = raw.size;
+    stats->file_bytes = c.size();
     stats->terms_interned = dict->size() - dict_before;
     stats->identity_term_map = identity;
     stats->used_mmap = options.use_mmap;
@@ -632,12 +371,12 @@ Result<TripleGraph> LoadFromRaw(const RawSnapshot& raw,
 
   return TripleGraph::FromIndexedParts(
       std::move(dict), std::move(labels),
-      SharedArray<Triple>(raw.pin, triples.data(), triples.size()),
-      SharedArray<uint64_t>(raw.pin, out_offsets.data(), out_offsets.size()),
-      SharedArray<PredicateObject>(raw.pin, out_pairs.data(),
+      SharedArray<Triple>(c.pin(), triples.data(), triples.size()),
+      SharedArray<uint64_t>(c.pin(), out_offsets.data(), out_offsets.size()),
+      SharedArray<PredicateObject>(c.pin(), out_pairs.data(),
                                    out_pairs.size()),
-      SharedArray<uint64_t>(raw.pin, in_offsets.data(), in_offsets.size()),
-      SharedArray<NodeId>(raw.pin, in_subjects.data(), in_subjects.size()));
+      SharedArray<uint64_t>(c.pin(), in_offsets.data(), in_offsets.size()),
+      SharedArray<NodeId>(c.pin(), in_subjects.data(), in_subjects.size()));
 }
 
 }  // namespace
@@ -646,9 +385,11 @@ Result<TripleGraph> LoadSnapshot(const std::string& path,
                                  std::shared_ptr<Dictionary> dict,
                                  const SnapshotLoadOptions& options,
                                  SnapshotLoadStats* stats) {
-  RDFALIGN_ASSIGN_OR_RETURN(RawSnapshot raw,
-                            AcquireBytes(path, options.use_mmap));
-  return LoadFromRaw(raw, std::move(dict), options, stats, path);
+  RDFALIGN_ASSIGN_OR_RETURN(
+      Container c,
+      Container::Open(kSnapshotFormat, path,
+                      options.use_mmap ? Acquire::kMmap : Acquire::kBuffer));
+  return LoadFromContainer(c, std::move(dict), options, stats, path);
 }
 
 Result<TripleGraph> LoadSnapshotFromMemory(std::shared_ptr<const void> pin,
@@ -658,43 +399,33 @@ Result<TripleGraph> LoadSnapshotFromMemory(std::shared_ptr<const void> pin,
                                            const SnapshotLoadOptions& options,
                                            SnapshotLoadStats* stats,
                                            const std::string& name) {
-  RawSnapshot raw;
-  raw.pin = std::move(pin);
-  raw.base = data;
-  raw.size = size;
-  RDFALIGN_RETURN_IF_ERROR(
-      ValidateHeader(data, size, size, &raw.header, raw.table, name));
+  RDFALIGN_ASSIGN_OR_RETURN(
+      Container c,
+      Container::FromMemory(kSnapshotFormat, std::move(pin), data, size, name));
   SnapshotLoadOptions in_place = options;
   in_place.use_mmap = false;  // no file involved; report a buffered load
-  return LoadFromRaw(raw, std::move(dict), in_place, stats, name);
+  return LoadFromContainer(c, std::move(dict), in_place, stats, name);
 }
 
 Result<SnapshotInfo> ReadSnapshotInfo(const std::string& path) {
-  std::ifstream in;
-  SnapshotHeader header;
-  SectionEntry table[kNumSectionsV2];
-  RDFALIGN_RETURN_IF_ERROR(
-      OpenAndValidatePrefix(path, in, &header, table).status());
+  RDFALIGN_ASSIGN_OR_RETURN(
+      Container c, Container::Open(kSnapshotFormat, path, Acquire::kPrefix));
+  const auto header = c.header<SnapshotHeader>();
   SnapshotInfo info;
   info.version = header.version;
   info.num_nodes = header.num_nodes;
   info.num_triples = header.num_triples;
   info.num_terms = header.num_terms;
   info.file_size = header.file_size;
-  for (size_t s = 0; s < SectionCount(header.version); ++s) {
+  for (const SectionEntry& sec : c.table()) {
     info.sections.push_back(SnapshotSectionInfo{
-        kSectionOrder[s], table[s].offset, table[s].size, table[s].checksum});
+        static_cast<SectionId>(sec.id), sec.offset, sec.size, sec.checksum});
   }
   return info;
 }
 
 bool LooksLikeSnapshot(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::array<char, 8> magic = {};
-  in.read(magic.data(), magic.size());
-  return in.gcount() == static_cast<std::streamsize>(magic.size()) &&
-         magic == kMagic;
+  return FileHasMagic(kSnapshotFormat, path);
 }
 
 }  // namespace rdfalign::store

@@ -18,7 +18,7 @@
 //
 //   [ UpdateHeader                  96 bytes                     ]
 //   [ SectionEntry * kNumUpdateSections                          ]
-//   [ section payloads, 8-byte aligned, zero-padded gaps         ]
+//   [ section payloads, packed (store/container.h)               ]
 //
 // Node references: the fragment declares `num_refs` node labels; the
 // first `num_new_nodes` of them MUST NOT exist in the receiver's target

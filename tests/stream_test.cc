@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <cstring>
 #include <memory>
 #include <set>
 #include <string>
@@ -119,6 +121,33 @@ TEST(UpdateFragmentTest, RejectsCorruptionAnywhere) {
     for (size_t i = 0; i < d->nodes.size(); ++i) {
       EXPECT_EQ(d->nodes[i].lex, built->nodes[i].lex) << "pos=" << pos;
     }
+  }
+}
+
+// A crafted count whose section size wraps around 2^64 (header checksum
+// recomputed) must be rejected before any section is copied out.
+TEST(UpdateFragmentTest, RejectsCountsThatWrapSectionSizes) {
+  auto [g1, g2] = testing::Fig3Graphs();
+  Result<UpdateBatch> built = BuildUpdateBatch(g1, g2, 1);
+  ASSERT_TRUE(built.ok());
+  Result<std::string> bytes = EncodeUpdateBatch(*built);
+  ASSERT_TRUE(bytes.ok());
+  const size_t prefix = store::kUpdatePayloadStartV2;
+  const size_t checksum_at = offsetof(store::UpdateHeader, header_checksum);
+  for (size_t field : {offsetof(store::UpdateHeader, num_removed_nodes),
+                       offsetof(store::UpdateHeader, num_removed_triples),
+                       offsetof(store::UpdateHeader, num_added_triples)}) {
+    std::string image = *bytes;
+    uint64_t count = 0;
+    std::memcpy(&count, image.data() + field, sizeof(count));
+    count += uint64_t{1} << 62;  // x4 and x12 both wrap back to the size
+    std::memcpy(image.data() + field, &count, sizeof(count));
+    std::memset(image.data() + checksum_at, 0, sizeof(uint64_t));
+    const uint64_t checksum = store::Checksum64(image.data(), prefix);
+    std::memcpy(image.data() + checksum_at, &checksum, sizeof(checksum));
+    Result<UpdateBatch> d = DecodeUpdateBatch(image, "crafted");
+    ASSERT_FALSE(d.ok()) << "field at " << field;
+    EXPECT_TRUE(d.status().IsCorruption()) << d.status();
   }
 }
 
