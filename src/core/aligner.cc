@@ -44,6 +44,7 @@ AlignmentOutcome Aligner::AlignCombined(const CombinedGraph& cg) const {
   switch (options_.method) {
     case AlignMethod::kTrivial:
       outcome.partition = TrivialPartition(cg.graph());
+      outcome.refinement.final_classes = outcome.partition.NumColors();
       break;
     case AlignMethod::kDeblank:
       outcome.partition =

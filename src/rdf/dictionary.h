@@ -5,14 +5,22 @@
 // and the initial bisimulation coloring both reduce to comparing LexIds.
 //
 // Two storage modes coexist per entry: Intern() copies the string into the
-// dictionary, while InternPinned() records a view into an externally owned
-// buffer registered with PinArena() (the snapshot store's zero-copy load
-// path — term bytes stay in the load buffer / file mapping and are never
-// copied).
+// dictionary, while InternPinned() and AppendPinned() record a view into
+// an externally owned buffer registered with PinArena() (the snapshot
+// store's zero-copy load path — term bytes stay in the load buffer / file
+// mapping and are never copied).
+//
+// The string -> id hash index is lazy: appending never touches it, and it
+// is built on the first Find(), Intern() or InternPinned(). A snapshot
+// load (AppendPinned) and a merge-join rebind (service::RebindGraph) never
+// build it. Each append also records whether the entries still form one
+// strictly ascending run (std::string_view operator<), which is what lets
+// RebindGraph join two dictionaries by a linear merge instead of hashing.
 
 #ifndef RDFALIGN_RDF_DICTIONARY_H_
 #define RDFALIGN_RDF_DICTIONARY_H_
 
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <string>
@@ -21,10 +29,12 @@
 #include <vector>
 
 #include "rdf/term.h"
+#include "util/lazy_index.h"
 
 namespace rdfalign {
 
-/// Append-only interner of lexical forms. Not thread-safe.
+/// Append-only interner of lexical forms. Mutation is not thread-safe;
+/// the const lookups (Find, Get) are, including the lazy index build.
 class Dictionary {
  public:
   Dictionary() = default;
@@ -39,8 +49,8 @@ class Dictionary {
   /// Interns `s`, returning its id; repeated calls with equal strings return
   /// the same id. The bytes are copied into the dictionary.
   LexId Intern(std::string_view s) {
-    auto it = index_.find(s);
-    if (it != index_.end()) return it->second;
+    const LexId id = Find(s);
+    if (id != kInvalidLex) return id;
     strings_.emplace_back(s);
     return Append(strings_.back());
   }
@@ -53,17 +63,27 @@ class Dictionary {
 
   /// Interns `s` *by reference*: the dictionary stores the view itself, not
   /// a copy. `s` must point into memory registered with PinArena() (or
-  /// otherwise outlive the dictionary). Used by the snapshot loader.
+  /// otherwise outlive the dictionary).
   LexId InternPinned(std::string_view s) {
-    auto it = index_.find(s);
-    if (it != index_.end()) return it->second;
-    return Append(s);
+    const LexId id = Find(s);
+    return id != kInvalidLex ? id : Append(s);
   }
 
-  /// Returns the id of `s` or kInvalidLex when not interned.
+  /// Appends `s` by reference without looking it up, as a new id. The
+  /// caller guarantees `s` is not interned yet (the snapshot loader's
+  /// proven strictly ascending terms, a merge-join miss); `s` must outlive
+  /// the dictionary as for InternPinned().
+  LexId AppendPinned(std::string_view s) { return Append(s); }
+
+  /// Returns the id of `s` or kInvalidLex when not interned. The first
+  /// lookup builds the hash index.
   LexId Find(std::string_view s) const {
-    auto it = index_.find(s);
-    return it == index_.end() ? kInvalidLex : it->second;
+    const Index& index = index_.Get([this](Index* map) {
+      map->reserve(views_.size());
+      for (LexId id = 0; id < views_.size(); ++id) map->emplace(views_[id], id);
+    });
+    auto it = index.find(s);
+    return it == index.end() ? kInvalidLex : it->second;
   }
 
   /// The lexical form for an id. id must be valid.
@@ -71,11 +91,25 @@ class Dictionary {
 
   size_t size() const { return views_.size(); }
 
+  /// True while every entry is strictly greater than the one before it
+  /// (vacuously for fewer than two entries).
+  bool ascending() const { return ascending_; }
+
+  /// Sum of the entries' byte lengths.
+  uint64_t term_bytes() const { return term_bytes_; }
+
+  /// Whether the lazy hash index has been built.
+  bool index_built() const { return index_.built(); }
+
  private:
+  using Index = std::unordered_map<std::string_view, LexId>;
+
   LexId Append(std::string_view view) {
+    ascending_ = ascending_ && (views_.empty() || views_.back() < view);
+    term_bytes_ += view.size();
     views_.push_back(view);
-    LexId id = static_cast<LexId>(views_.size() - 1);
-    index_.emplace(view, id);
+    const LexId id = static_cast<LexId>(views_.size() - 1);
+    if (Index* index = index_.Mutable()) index->emplace(view, id);
     return id;
   }
 
@@ -85,9 +119,11 @@ class Dictionary {
   // id -> lexical form; points into strings_ or into a pinned arena.
   std::vector<std::string_view> views_;
   // External buffers (snapshot load buffers / file mappings) whose bytes
-  // back InternPinned() entries.
+  // back pinned entries.
   std::vector<std::shared_ptr<const void>> arenas_;
-  std::unordered_map<std::string_view, LexId> index_;
+  bool ascending_ = true;
+  uint64_t term_bytes_ = 0;
+  LazyIndex<Index> index_;
 };
 
 }  // namespace rdfalign

@@ -10,6 +10,12 @@
 // Storage: the triple list and the CSR indexes are SharedArrays — normally
 // owned vectors, but the snapshot store (src/store) can hand them in as
 // zero-copy views into a pinned load buffer or file mapping.
+//
+// Label lookup (FindUri / FindLiteral / FindBlank) goes through a label ->
+// node hash map that no constructor builds: the first Find* call builds it
+// (util/lazy_index.h), safely even when several threads look up in one
+// shared const graph, so loads, rebinds and merges that never look a node
+// up by label never pay for it.
 
 #ifndef RDFALIGN_RDF_GRAPH_H_
 #define RDFALIGN_RDF_GRAPH_H_
@@ -23,6 +29,7 @@
 
 #include "rdf/dictionary.h"
 #include "rdf/term.h"
+#include "util/lazy_index.h"
 #include "util/result.h"
 #include "util/shared_array.h"
 #include "util/status.h"
@@ -49,10 +56,10 @@ class TripleGraph {
   /// Assembles a graph from *pre-indexed* parts: the triple list must be
   /// sorted and deduplicated and the two CSR indexes must be exactly what
   /// BuildIndexes() would produce for it. No sorting, index construction,
-  /// or validation happens — only the label lookup map is rebuilt. This is
-  /// the snapshot store's zero-parse load path; the loader is responsible
-  /// for having validated the arrays (see store/snapshot.cc). Passing
-  /// inconsistent arrays is undefined behavior.
+  /// validation or hashing happens. This is the snapshot store's
+  /// zero-parse load path; the loader is responsible for having validated
+  /// the arrays (see store/snapshot.cc). Passing inconsistent arrays is
+  /// undefined behavior.
   static TripleGraph FromIndexedParts(std::shared_ptr<Dictionary> dict,
                                       std::vector<NodeLabel> labels,
                                       SharedArray<Triple> triples,
@@ -133,7 +140,9 @@ class TripleGraph {
   const std::shared_ptr<Dictionary>& dict_ptr() const { return dict_; }
 
   /// Node lookup by label; kInvalidNode when absent. Unique-label graphs
-  /// (built via GraphBuilder) have at most one match.
+  /// (built via GraphBuilder) have at most one match; when several nodes
+  /// share a label (a combined graph) the lowest id — the source-graph
+  /// node — wins. The first call builds the label map; thread-safe.
   NodeId FindUri(std::string_view uri) const;
   NodeId FindLiteral(std::string_view value) const;
   /// Blank lookup is by *local* name, a per-graph convenience.
@@ -144,6 +153,9 @@ class TripleGraph {
 
   /// All node ids of a kind, ascending.
   std::vector<NodeId> NodesOfKind(TermKind kind) const;
+
+  /// Whether a Find* call has built the label lookup map.
+  bool label_index_built() const { return node_by_label_.built(); }
 
  private:
   friend class GraphBuilder;
@@ -158,11 +170,11 @@ class TripleGraph {
   // deduplicated).
   SharedArray<uint64_t> in_offsets_;  // size NumNodes()+1
   SharedArray<NodeId> in_subjects_;   // size <= 2 * NumEdges()
-  // Label -> node maps for lookup (kind-tagged).
-  std::unordered_map<uint64_t, NodeId> node_by_label_;
+  // Label -> node map for lookup (kind-tagged), built on the first Find*.
+  LazyIndex<std::unordered_map<uint64_t, NodeId>> node_by_label_;
 
   void BuildIndexes(std::vector<Triple> triples, size_t threads = 1);
-  void BuildLabelMap();
+  NodeId FindByLabel(TermKind kind, std::string_view lexical) const;
   Status ValidateRdf() const;
   static uint64_t LabelKey(TermKind kind, LexId lex);
 };

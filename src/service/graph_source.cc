@@ -24,13 +24,10 @@ bool HasSuffix(const std::string& s, const char* suffix) {
 
 uint64_t LoadedGraphBytes(const TripleGraph& g) {
   const Dictionary& dict = g.dict();
-  uint64_t term_bytes = 0;
-  for (LexId id = 0; id < dict.size(); ++id) {
-    term_bytes += dict.Get(id).size();
-  }
   // Payload arrays are exact; the dictionary index and the label lookup
-  // map are estimated at a fixed per-entry overhead so the accounting
-  // stays a pure function of the graph's content.
+  // map are estimated at a fixed per-entry overhead, built or not (both
+  // are lazy), so the accounting stays a pure function of the graph's
+  // content.
   constexpr uint64_t kPerTermOverhead = 48;   // view + hash index entry
   constexpr uint64_t kPerNodeOverhead = 24;   // label lookup map entry
   return g.labels().size() * sizeof(NodeLabel) +
@@ -38,7 +35,7 @@ uint64_t LoadedGraphBytes(const TripleGraph& g) {
          g.OutOffsets().size() * sizeof(uint64_t) +
          g.OutPairs().size() * sizeof(PredicateObject) +
          g.InOffsets().size() * sizeof(uint64_t) +
-         g.InSubjects().size() * sizeof(NodeId) + term_bytes +
+         g.InSubjects().size() * sizeof(NodeId) + dict.term_bytes() +
          dict.size() * kPerTermOverhead +
          g.NumNodes() * kPerNodeOverhead;
 }
@@ -92,14 +89,31 @@ TripleGraph RebindGraph(const LoadedGraphRef& src,
   // which owns (or pins) every term's bytes — one pin covers them all.
   dict->PinArena(src);
 
-  // Intern in ascending source-id order. A freshly loaded graph's
-  // dictionary holds exactly its referenced terms in load order, so this
-  // reproduces the LexId numbering of loading straight into `dict`.
+  // New ids go to the source's referenced terms in ascending source-id
+  // order. A freshly loaded graph's dictionary holds exactly its
+  // referenced terms in load order, so this reproduces the LexId
+  // numbering of loading straight into `dict`.
   std::vector<uint8_t> used(src_dict.size(), 0);
   for (const NodeLabel& l : g.labels()) used[l.lex] = 1;
   std::vector<LexId> remap(src_dict.size(), kInvalidLex);
-  for (LexId id = 0; id < src_dict.size(); ++id) {
-    if (used[id]) remap[id] = dict->InternPinned(src_dict.Get(id));
+  if (src_dict.ascending() && dict->ascending()) {
+    // Both are single strictly ascending runs (a v2 snapshot's dictionary;
+    // the shared one until a rebind appends misses out of order): one merge
+    // join over them, no hashing. Misses are appended past `shared_end`,
+    // so the join cursor only walks entries that predate this call.
+    const LexId shared_end = static_cast<LexId>(dict->size());
+    LexId j = 0;
+    for (LexId id = 0; id < src_dict.size(); ++id) {
+      if (!used[id]) continue;
+      const std::string_view term = src_dict.Get(id);
+      int order = 1;
+      while (j < shared_end && (order = dict->Get(j).compare(term)) < 0) ++j;
+      remap[id] = j < shared_end && order == 0 ? j : dict->AppendPinned(term);
+    }
+  } else {
+    for (LexId id = 0; id < src_dict.size(); ++id) {
+      if (used[id]) remap[id] = dict->InternPinned(src_dict.Get(id));
+    }
   }
 
   std::vector<NodeLabel> labels(g.NumNodes());

@@ -14,10 +14,12 @@
 // request-local shared dictionary with RebindGraph: the triple list and
 // all four CSR arrays are adopted as zero-copy pinned views (the pin
 // keeps the cache entry alive even if it is evicted mid-request) and only
-// the label column is rewritten. Rebinding interns terms in ascending
-// source-id order, which makes the resulting LexId assignment — and hence
-// every downstream report — byte-identical to the historical
-// load-both-into-one-dictionary CLI path.
+// the label column is rewritten. Rebinding assigns new LexIds in
+// ascending source-id order, which makes the resulting LexId assignment —
+// and hence every downstream report — byte-identical to the historical
+// load-both-into-one-dictionary CLI path. When both dictionaries are one
+// strictly ascending run (v2 snapshots) the terms are joined by a linear
+// merge; otherwise they are interned through the hash index.
 
 #ifndef RDFALIGN_SERVICE_GRAPH_SOURCE_H_
 #define RDFALIGN_SERVICE_GRAPH_SOURCE_H_
@@ -90,12 +92,14 @@ Result<LoadedGraphRef> LoadGraphFile(const std::string& path,
 /// Deterministic resident-memory estimate of a loaded graph (labels,
 /// triple list, both CSR indexes, dictionary bytes and index overhead) —
 /// the cache's byte-accounting unit, exposed so tests can predict
-/// capacity behavior exactly.
+/// capacity behavior exactly. O(1): term bytes are a running total.
 uint64_t LoadedGraphBytes(const TripleGraph& g);
 
-/// Rebinds `src`'s graph into `dict`: terms are interned (as pinned
-/// views; `src` itself is pinned into `dict` as the arena) in ascending
-/// source-LexId order, the label column is rewritten, and the triple /
+/// Rebinds `src`'s graph into `dict`: terms are joined into `dict` (as
+/// pinned views; `src` itself is pinned into `dict` as the arena) with new
+/// ids in ascending source-LexId order — by a merge join when both
+/// dictionaries are ascending runs, else by Intern — the label column is
+/// rewritten, and the triple /
 /// CSR arrays are adopted as zero-copy views kept alive by `src`. The
 /// result is content-identical to the source graph and safe to use after
 /// the source is evicted from any cache.

@@ -311,8 +311,12 @@ Result<TripleGraph> LoadFromContainer(const Container& c,
 
   // Dictionary: intern each term as a view into the pinned payload. With a
   // fresh dictionary this assigns ids 0..t-1 in file order (identity map);
-  // with a shared dictionary the ids are remapped transparently.
-  if (dict == nullptr) dict = std::make_shared<Dictionary>();
+  // with a shared dictionary the ids are remapped transparently. Front-coded
+  // terms into a fresh dictionary are appended unhashed, so the ascending
+  // check below is load-bearing: it proves them distinct, without which two
+  // equal labels could get two LexIds.
+  const bool fresh = dict == nullptr;
+  if (fresh) dict = std::make_shared<Dictionary>();
   dict->PinArena(c.pin());
   const size_t dict_before = dict->size();
   std::vector<LexId> remap(t);
@@ -343,7 +347,7 @@ Result<TripleGraph> LoadFromContainer(const Container& c,
       if (i > 0 && !(prev < term)) {
         return corrupt("front-coded terms not strictly ascending");
       }
-      remap[i] = dict->InternPinned(term);
+      remap[i] = fresh ? dict->AppendPinned(term) : dict->InternPinned(term);
       identity = identity && remap[i] == i;
       prev = term;
     }

@@ -38,6 +38,40 @@ TEST(DictionaryTest, ManyStringsStayStable) {
   }
 }
 
+TEST(DictionaryTest, TracksAscendingRunAndTermBytes) {
+  Dictionary d;
+  EXPECT_TRUE(d.ascending());
+  d.AppendPinned("a");
+  d.AppendPinned("ab");
+  d.Intern("b");
+  EXPECT_TRUE(d.ascending());
+  EXPECT_EQ(d.term_bytes(), 4u);
+  d.Intern("ab");  // a hit appends nothing
+  EXPECT_TRUE(d.ascending());
+  d.Intern("aa");  // below its predecessor "b"
+  EXPECT_FALSE(d.ascending());
+  d.Intern("c");  // the run never resumes
+  EXPECT_FALSE(d.ascending());
+  EXPECT_EQ(d.term_bytes(), 7u);
+}
+
+TEST(DictionaryTest, IndexIsBuiltOnFirstLookupAndKeptCurrent) {
+  Dictionary d;
+  const LexId x = d.AppendPinned("x");
+  const LexId y = d.AppendPinned("y");
+  EXPECT_FALSE(d.index_built());
+  EXPECT_EQ(d.Find("y"), y);
+  EXPECT_TRUE(d.index_built());
+  const LexId z = d.AppendPinned("z");  // appended after the build
+  EXPECT_EQ(d.Find("z"), z);
+  EXPECT_EQ(d.Intern("x"), x);
+  EXPECT_EQ(d.size(), 3u);
+
+  Dictionary moved = std::move(d);
+  EXPECT_TRUE(moved.index_built());
+  EXPECT_EQ(moved.Find("z"), z);
+}
+
 TEST(GraphBuilderTest, DeduplicatesUrisAndLiterals) {
   GraphBuilder b;
   NodeId u1 = b.AddUri("ex:a");
@@ -144,6 +178,23 @@ TEST(TripleGraphTest, FindByLabel) {
   EXPECT_NE(g.FindLiteral("hello"), kInvalidNode);
   EXPECT_NE(g.FindBlank("bn"), kInvalidNode);
   EXPECT_EQ(g.FindBlank("zz"), kInvalidNode);
+}
+
+TEST(TripleGraphTest, LabelIndexIsLazyAndDerived) {
+  GraphBuilder b;
+  b.AddUriTriple("ex:s", "ex:p", "ex:o");
+  auto g = std::move(b.Build(true)).value();
+  EXPECT_FALSE(g.label_index_built());
+  const NodeId o = g.FindUri("ex:o");
+  ASSERT_NE(o, kInvalidNode);
+  EXPECT_TRUE(g.label_index_built());
+  // A copy starts unbuilt and rebuilds on demand; a move keeps the map.
+  const TripleGraph copy = g;
+  EXPECT_FALSE(copy.label_index_built());
+  EXPECT_EQ(copy.FindUri("ex:o"), o);
+  const TripleGraph moved = std::move(g);
+  EXPECT_TRUE(moved.label_index_built());
+  EXPECT_EQ(moved.FindUri("ex:o"), o);
 }
 
 TEST(TripleGraphTest, NodesOfKindAndCounts) {

@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -31,13 +32,22 @@
 namespace rdfalign {
 namespace {
 
-/// One format under test: how to write a small file of it, and the reader
-/// every mutation goes through.
+/// Table positions of a format's front-coded dictionary sections.
+struct FrontCodedSections {
+  size_t suffix_offsets;
+  size_t blob;
+  size_t prefix_lens;
+};
+
+/// One format under test: how to write a small file of it, the reader
+/// every mutation goes through, and where its dictionary is (formats that
+/// embed whole images, like the archive, have none of their own).
 struct FormatCase {
   const char* name;
   size_t header_size;
   std::function<Status(const std::string& path)> write;
   std::function<Status(const std::string& path)> load;
+  std::optional<FrontCodedSections> dict;
 };
 
 void PrintTo(const FormatCase& format, std::ostream* os) { *os << format.name; }
@@ -71,11 +81,14 @@ std::vector<FormatCase> Formats() {
   const auto write_snapshot = [](const std::string& path) {
     return store::WriteSnapshot(TheFixture().base, path);
   };
+  const FrontCodedSections snapshot_dict{0, 1, 9};
   return {
       {"snapshot_buffered", sizeof(store::SnapshotHeader), write_snapshot,
-       [](const std::string& path) { return LoadSnapshotWith(path, false); }},
+       [](const std::string& path) { return LoadSnapshotWith(path, false); },
+       snapshot_dict},
       {"snapshot_mmap", sizeof(store::SnapshotHeader), write_snapshot,
-       [](const std::string& path) { return LoadSnapshotWith(path, true); }},
+       [](const std::string& path) { return LoadSnapshotWith(path, true); },
+       snapshot_dict},
       {"delta", sizeof(store::DeltaHeader),
        [](const std::string& path) {
          const Fixture& f = TheFixture();
@@ -87,14 +100,16 @@ std::vector<FormatCase> Formats() {
        },
        [](const std::string& path) {
          return store::ApplyDelta(TheFixture().base, path, nullptr).status();
-       }},
+       },
+       FrontCodedSections{1, 2, 9}},
       {"archive", sizeof(store::ArchiveHeader),
        [](const std::string& path) {
          return store::SaveArchive(TheFixture().archive, path);
        },
        [](const std::string& path) {
          return store::LoadArchive(path).status();
-       }},
+       },
+       std::nullopt},
       {"update_fragment", sizeof(store::UpdateHeader),
        [](const std::string& path) -> Status {
          RDFALIGN_ASSIGN_OR_RETURN(
@@ -104,7 +119,8 @@ std::vector<FormatCase> Formats() {
        },
        [](const std::string& path) {
          return store::ReadUpdateFile(path).status();
-       }},
+       },
+       FrontCodedSections{0, 1, 7}},
   };
 }
 
@@ -269,11 +285,120 @@ TEST_P(StoreMutationTest, RejectsHugeJunkFileWithoutBuffering) {
   EXPECT_TRUE(st.IsInvalidArgument()) << st;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Formats, StoreMutationTest, ::testing::ValuesIn(Formats()),
-    [](const ::testing::TestParamInfo<FormatCase>& info) {
-      return std::string(info.param.name);
-    });
+// Hostile front-coded dictionaries, with every checksum recomputed so
+// only the decoder's own checks can object. A fresh v2 snapshot load
+// appends its terms unhashed (Dictionary::AppendPinned), trusting the
+// strict ascending check to prove them distinct, so that check is pinned
+// here for every format that carries a dictionary.
+class FrontCodedMutationTest : public StoreMutationTest {
+ protected:
+  void SetUp() override {
+    StoreMutationTest::SetUp();
+    if (HasFatalFailure()) return;
+    const FrontCodedSections& dict = *GetParam().dict;
+    const store::SectionEntry& offsets = table_[dict.suffix_offsets];
+    const store::SectionEntry& prefixes = table_[dict.prefix_lens];
+    const size_t count = prefixes.size / sizeof(uint32_t);
+    ASSERT_EQ(offsets.size, (count + 1) * sizeof(uint64_t));
+    ASSERT_GE(count, 2u) << "the fixture must carry front-coded terms";
+    for (size_t i = 0; i <= count; ++i) {
+      suffix_offsets_.push_back(
+          LoadAt<uint64_t>(bytes_, offsets.offset + i * sizeof(uint64_t)));
+    }
+    for (size_t i = 0; i < count; ++i) {
+      const uint32_t plen =
+          LoadAt<uint32_t>(bytes_, prefixes.offset + i * sizeof(uint32_t));
+      prefix_lens_.push_back(plen);
+      std::string term = i == 0 ? "" : terms_[i - 1].substr(0, plen);
+      term.append(bytes_.data() + SuffixPos(i), SuffixLen(i));
+      terms_.push_back(std::move(term));
+    }
+  }
+
+  /// File position and length of term i's suffix in the blob.
+  size_t SuffixPos(size_t i) const {
+    return table_[GetParam().dict->blob].offset + suffix_offsets_[i];
+  }
+  size_t SuffixLen(size_t i) const {
+    return suffix_offsets_[i + 1] - suffix_offsets_[i];
+  }
+
+  /// Recomputes every section checksum, then reseals the header.
+  void ResealChecksums(std::vector<char>& bytes) const {
+    std::vector<store::SectionEntry> table = table_;
+    for (store::SectionEntry& sec : table) {
+      sec.checksum = store::Checksum64(bytes.data() + sec.offset, sec.size);
+    }
+    Reseal(bytes, table);
+  }
+
+  void ExpectRejectedWith(std::vector<char> bytes, const std::string& what,
+                          const std::string& message) {
+    ResealChecksums(bytes);
+    const Status st = ExpectRejected(bytes, what);
+    EXPECT_NE(st.message().find(message), std::string::npos) << st;
+  }
+
+  std::vector<uint64_t> suffix_offsets_;
+  std::vector<uint32_t> prefix_lens_;
+  std::vector<std::string> terms_;  // decoded
+};
+
+TEST_P(FrontCodedMutationTest, RejectsNonAscendingTerms) {
+  // A NUL where term i first differs from term i-1 sorts it below i-1.
+  size_t i = 1;
+  while (i < terms_.size() &&
+         !(SuffixLen(i) > 0 && prefix_lens_[i] < terms_[i - 1].size() &&
+           terms_[i - 1][prefix_lens_[i]] != '\0')) {
+    ++i;
+  }
+  ASSERT_LT(i, terms_.size());
+  std::vector<char> crafted = bytes_;
+  crafted[SuffixPos(i)] = '\0';
+  ExpectRejectedWith(crafted,
+                     "term " + std::to_string(i) + " below its predecessor",
+                     "not strictly ascending");
+}
+
+TEST_P(FrontCodedMutationTest, RejectsDuplicateTerms) {
+  // Term i rewritten to equal term i-1: its suffix becomes the tail of
+  // term i-1 past the shared prefix, which fits when the lengths agree.
+  size_t i = 1;
+  while (i < terms_.size() && terms_[i].size() != terms_[i - 1].size()) ++i;
+  ASSERT_LT(i, terms_.size()) << "no equal-length neighbours to duplicate";
+  std::vector<char> crafted = bytes_;
+  const std::string tail = terms_[i - 1].substr(prefix_lens_[i]);
+  ASSERT_EQ(tail.size(), SuffixLen(i));
+  std::copy(tail.begin(), tail.end(),
+            crafted.begin() + static_cast<ptrdiff_t>(SuffixPos(i)));
+  ExpectRejectedWith(crafted, "term " + std::to_string(i) + " duplicated",
+                     "not strictly ascending");
+}
+
+TEST_P(FrontCodedMutationTest, RejectsPrefixLongerThanPreviousTerm) {
+  // Term 1 is never a restart point; its prefix may not exceed term 0.
+  std::vector<char> crafted = bytes_;
+  StoreAt<uint32_t>(crafted,
+                    table_[GetParam().dict->prefix_lens].offset +
+                        sizeof(uint32_t),
+                    static_cast<uint32_t>(terms_[0].size() + 1));
+  ExpectRejectedWith(crafted, "prefix past term 0", "prefix longer");
+}
+
+std::string FormatName(const ::testing::TestParamInfo<FormatCase>& info) {
+  return info.param.name;
+}
+
+std::vector<FormatCase> FrontCodedFormats() {
+  std::vector<FormatCase> formats = Formats();
+  std::erase_if(formats, [](const FormatCase& f) { return !f.dict; });
+  return formats;
+}
+
+INSTANTIATE_TEST_SUITE_P(Formats, StoreMutationTest,
+                         ::testing::ValuesIn(Formats()), FormatName);
+INSTANTIATE_TEST_SUITE_P(Formats, FrontCodedMutationTest,
+                         ::testing::ValuesIn(FrontCodedFormats()), FormatName);
 
 }  // namespace
 }  // namespace rdfalign

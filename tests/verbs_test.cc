@@ -19,8 +19,11 @@
 #include <string>
 #include <vector>
 
+#include "core/partition.h"
+#include "rdf/merge.h"
 #include "service/graph_source.h"
 #include "service/snapshot_cache.h"
+#include "store/snapshot.h"
 
 namespace rdfalign::service {
 namespace {
@@ -126,6 +129,29 @@ TEST(VerbsTest, FullPipelineThroughExecuteVerb) {
   for (const std::string& p : {delta, replayed, archive}) {
     std::remove(p.c_str());
   }
+}
+
+// align --method=trivial runs no refinement, but its partition still has
+// classes: the report carries their count instead of zero.
+TEST(VerbsTest, TrivialAlignReportsItsClassCount) {
+  const std::string prefix = ScratchPrefix();
+  const auto [v1, v2] = MakeVersionPair(prefix);
+  VerbResult align = RunVerb({"align", v1, v2, "--method=trivial", "--json"});
+  EXPECT_EQ(align.exit_code, 0) << align.error;
+  std::smatch m;
+  ASSERT_TRUE(std::regex_search(align.output, m,
+                                std::regex("\"final_classes\": ([0-9]+)")));
+
+  auto dict = std::make_shared<Dictionary>();
+  Result<TripleGraph> g1 = store::LoadSnapshot(v1, dict);
+  Result<TripleGraph> g2 = store::LoadSnapshot(v2, dict);
+  ASSERT_TRUE(g1.ok() && g2.ok());
+  Result<CombinedGraph> cg = CombinedGraph::Build(*g1, *g2);
+  ASSERT_TRUE(cg.ok()) << cg.status();
+  const size_t classes = TrivialPartition(cg->graph()).NumColors();
+  EXPECT_GT(classes, 0u);
+  EXPECT_EQ(std::stoul(m[1]), classes);
+  RemoveChain(prefix);
 }
 
 // The --no-dict-compress escape hatch reaches the writer through every
