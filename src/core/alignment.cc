@@ -60,48 +60,62 @@ size_t CountMembersIn(const std::vector<TripleKey>& b,
   return count;
 }
 
-// Routes a key per kept triple into set_a (source side) or set_b in
-// triple order: a chunked counting pass sizes each chunk's sub-ranges,
-// then the scatter writes every chunk's keys at its exclusive-prefix
-// offsets — the element order is exactly the serial loop's for any
-// thread count (and the subsequent sort would erase ordering anyway).
-template <typename KeyFn, typename KeepFn>
-void BuildSideKeysParallel(const CombinedGraph& cg,
-                           std::span<const Triple> triples, size_t threads,
-                           const KeyFn& key, const KeepFn& keep,
-                           std::vector<TripleKey>& set_a,
-                           std::vector<TripleKey>& set_b) {
-  const size_t m = triples.size();
-  const size_t chunks = PlanChunks(m, kAlignGrain);
-  std::vector<uint64_t> a_off(chunks + 1, 0);
-  std::vector<uint64_t> b_off(chunks + 1, 0);
-  ParallelChunks(m, threads, kAlignGrain,
-                 [&](size_t c, size_t begin, size_t end) {
-                   uint64_t na = 0;
-                   uint64_t nb = 0;
-                   for (size_t i = begin; i < end; ++i) {
-                     if (!keep(triples[i])) continue;
-                     (cg.InSource(triples[i].s) ? na : nb) += 1;
-                   }
-                   a_off[c + 1] = na;
-                   b_off[c + 1] = nb;
-                 });
-  for (size_t c = 0; c < chunks; ++c) {
-    a_off[c + 1] += a_off[c];
-    b_off[c + 1] += b_off[c];
+/// Pass 1 of ComputeEdgeAlignment without sorting: the number of
+/// non-blank target triples whose label key — subject and predicate by
+/// lexical id, object by (lexical id, kind) — some non-blank source triple
+/// also has. Each non-blank source node is the *label twin* of its
+/// (lexical id, URI|literal); a target triple counts when a combination of
+/// its nodes' twins is a triple of the source, found by a binary search in
+/// the twin subject's out-CSR slice. Subjects and predicates try both
+/// kinds' twins, since their key ignores the kind. Returns false, leaving
+/// `merged` untouched, when two source nodes share a non-blank label
+/// (possible only in a graph built without RDF validation): the twin is
+/// then not unique and the caller counts by sorted keys instead.
+bool CountLabelIdenticalEdges(const CombinedGraph& cg, size_t threads,
+                              size_t* merged) {
+  const TripleGraph& g = cg.graph();
+  std::vector<NodeId> twin(2 * g.dict().size(), kInvalidNode);
+  const auto slot = [&g](NodeId n, bool literal) {
+    return 2 * static_cast<size_t>(g.LexicalId(n)) + (literal ? 1 : 0);
+  };
+  for (NodeId n = 0; n < cg.n1(); ++n) {
+    if (g.IsBlank(n)) continue;
+    NodeId& t = twin[slot(n, g.IsLiteral(n))];
+    if (t != kInvalidNode) return false;
+    t = n;
   }
-  set_a.resize(a_off[chunks]);
-  set_b.resize(b_off[chunks]);
-  ParallelChunks(m, threads, kAlignGrain,
-                 [&](size_t c, size_t begin, size_t end) {
-                   uint64_t ia = a_off[c];
-                   uint64_t ib = b_off[c];
-                   for (size_t i = begin; i < end; ++i) {
-                     const Triple& t = triples[i];
-                     if (!keep(t)) continue;
-                     (cg.InSource(t.s) ? set_a[ia++] : set_b[ib++]) = key(t);
-                   }
-                 });
+  const auto twin_of = [&](NodeId n, bool literal) {
+    return twin[slot(n, literal)];
+  };
+  // Source triples sort before target ones: subjects < n1 come first.
+  const std::span<const Triple> target = g.triples().subspan(cg.e1());
+  const auto count = [&](size_t, size_t begin, size_t end) {
+    size_t found = 0;
+    for (size_t i = begin; i < end; ++i) {
+      const Triple& t = target[i];
+      if (g.IsBlank(t.s) || g.IsBlank(t.p) || g.IsBlank(t.o)) continue;
+      const NodeId o = twin_of(t.o, g.IsLiteral(t.o));
+      if (o == kInvalidNode) continue;
+      bool hit = false;
+      for (int sk = 0; sk < 2 && !hit; ++sk) {
+        const NodeId s = twin_of(t.s, sk == 1);
+        if (s == kInvalidNode) continue;
+        const std::span<const PredicateObject> out = g.Out(s);
+        for (int pk = 0; pk < 2 && !hit; ++pk) {
+          const NodeId p = twin_of(t.p, pk == 1);
+          hit = p != kInvalidNode &&
+                std::binary_search(out.begin(), out.end(),
+                                   PredicateObject{p, o});
+        }
+      }
+      if (hit) ++found;
+    }
+    return found;
+  };
+  *merged = ChunkedReduce<size_t>(
+      target.size(), threads, kAlignGrain, size_t{0}, count,
+      [](size_t& acc, size_t&& part) { acc += part; });
+  return true;
 }
 
 }  // namespace
@@ -173,59 +187,57 @@ EdgeAlignmentStats ComputeEdgeAlignment(const CombinedGraph& cg,
   // Scratch key buffers persist across calls: the figure benches and the
   // archive workloads call this once per version pair, and the buffers
   // reach a steady size after the first pair.
-  static thread_local std::vector<TripleKey> set_a;
-  static thread_local std::vector<TripleKey> set_b;
+  static thread_local std::vector<TripleKey> scratch_a;
+  static thread_local std::vector<TripleKey> scratch_b;
+  // Plain references: a pool-worker lambda naming a thread_local would
+  // resolve the worker's own instance (docs/parallelism.md).
+  std::vector<TripleKey>& set_a = scratch_a;
+  std::vector<TripleKey>& set_b = scratch_b;
 
   // Pass 1: count label-identical non-blank edges present on both sides —
   // these are "edges using precisely the same identifiers" and are counted
   // once. Blank nodes are never persistent identifiers, so edges touching a
   // blank never merge.
-  // Lexical ids are shared across kinds (a URI and a literal can intern the
-  // same string), so the object's kind is packed into the key; subjects are
-  // never literals and predicates are always URIs.
-  auto label_key = [&](const Triple& t) -> TripleKey {
-    return TripleKey{PackPair(g.LexicalId(t.s), g.LexicalId(t.p)),
-                     static_cast<uint64_t>(g.LexicalId(t.o)) |
-                         (static_cast<uint64_t>(g.KindOf(t.o)) << 32)};
-  };
-  auto has_blank = [&](const Triple& t) {
-    return g.IsBlank(t.s) || g.IsBlank(t.p) || g.IsBlank(t.o);
-  };
-
-  set_a.clear();
-  set_a.reserve(cg.e1());
-  set_b.clear();
-  set_b.reserve(cg.e2());
-  if (parallel) {
-    BuildSideKeysParallel(cg, g.triples(), threads, label_key,
-                          [&](const Triple& t) { return !has_blank(t); },
-                          set_a, set_b);
-  } else {
+  size_t merged = 0;
+  if (!CountLabelIdenticalEdges(cg, parallel ? threads : 1, &merged)) {
+    // Lexical ids are shared across kinds (a URI and a literal can intern
+    // the same string), so the object's kind is packed into the key;
+    // subjects are never literals and predicates are always URIs.
+    auto label_key = [&](const Triple& t) -> TripleKey {
+      return TripleKey{PackPair(g.LexicalId(t.s), g.LexicalId(t.p)),
+                       static_cast<uint64_t>(g.LexicalId(t.o)) |
+                           (static_cast<uint64_t>(g.KindOf(t.o)) << 32)};
+    };
+    auto has_blank = [&](const Triple& t) {
+      return g.IsBlank(t.s) || g.IsBlank(t.p) || g.IsBlank(t.o);
+    };
+    set_a.clear();
+    set_b.clear();
     for (const Triple& t : g.triples()) {
       if (!has_blank(t)) {
         (cg.InSource(t.s) ? set_a : set_b).push_back(label_key(t));
       }
     }
+    ParallelSort(set_a, threads);
+    ParallelSort(set_b, threads);
+    merged = CountMembersIn(set_b, set_a);
   }
-  ParallelSort(set_a, threads);
-  ParallelSort(set_b, threads);
-  const size_t merged = CountMembersIn(set_b, set_a);
 
   // Pass 2: an edge is aligned when the opposite side has an edge whose
   // color triple matches — sort each side's key multiset, then count cross
-  // memberships with two linear merges.
-  set_a.clear();
-  set_b.clear();
-  if (parallel) {
-    BuildSideKeysParallel(
-        cg, g.triples(), threads,
-        [&](const Triple& t) { return MakeColorKey(p, t); },
-        [](const Triple&) { return true; }, set_a, set_b);
-  } else {
-    for (const Triple& t : g.triples()) {
-      (cg.InSource(t.s) ? set_a : set_b).push_back(MakeColorKey(p, t));
-    }
-  }
+  // memberships with two linear merges. Source triples are the prefix
+  // [0, e1) of the sorted triple list, so each side's keys are a
+  // positionwise transform of its range.
+  const std::span<const Triple> triples = g.triples();
+  set_a.resize(cg.e1());
+  set_b.resize(cg.e2());
+  ParallelChunks(triples.size(), parallel ? threads : 1, kAlignGrain,
+                 [&](size_t, size_t begin, size_t end) {
+                   for (size_t i = begin; i < end; ++i) {
+                     (i < set_a.size() ? set_a[i] : set_b[i - set_a.size()]) =
+                         MakeColorKey(p, triples[i]);
+                   }
+                 });
   ParallelSort(set_a, threads);
   ParallelSort(set_b, threads);
   size_t aligned = CountMembersIn(set_a, set_b) + CountMembersIn(set_b, set_a);

@@ -4,18 +4,20 @@
 // label equality is an integer comparison — the trivial alignment (§3.1)
 // and the initial bisimulation coloring both reduce to comparing LexIds.
 //
-// Two storage modes coexist per entry: Intern() copies the string into the
-// dictionary, while InternPinned() and AppendPinned() record a view into
-// an externally owned buffer registered with PinArena() (the snapshot
-// store's zero-copy load path — term bytes stay in the load buffer / file
-// mapping and are never copied).
+// Two storage modes coexist per entry: Intern() and AppendCopy() copy the
+// string into the dictionary, while InternPinned() and AppendPinned()
+// record a view into an externally owned buffer registered with PinArena()
+// (the snapshot store's zero-copy load path — term bytes stay in the load
+// buffer / file mapping and are never copied).
 //
 // The string -> id hash index is lazy: appending never touches it, and it
 // is built on the first Find(), Intern() or InternPinned(). A snapshot
-// load (AppendPinned) and a merge-join rebind (service::RebindGraph) never
-// build it. Each append also records whether the entries still form one
+// load (AppendPinned), a merge-join rebind (service::RebindGraph) and a
+// patch replay's merge walk (store::ApplyDelta, AppendCopy) never build
+// it. Each append also records whether the entries still form one
 // strictly ascending run (std::string_view operator<), which is what lets
-// RebindGraph join two dictionaries by a linear merge instead of hashing.
+// RebindGraph and ApplyDelta join against a dictionary by a linear merge
+// instead of hashing.
 
 #ifndef RDFALIGN_RDF_DICTIONARY_H_
 #define RDFALIGN_RDF_DICTIONARY_H_
@@ -50,9 +52,7 @@ class Dictionary {
   /// the same id. The bytes are copied into the dictionary.
   LexId Intern(std::string_view s) {
     const LexId id = Find(s);
-    if (id != kInvalidLex) return id;
-    strings_.emplace_back(s);
-    return Append(strings_.back());
+    return id != kInvalidLex ? id : AppendCopy(s);
   }
 
   /// Keeps `arena` alive for the lifetime of this dictionary so that views
@@ -74,6 +74,13 @@ class Dictionary {
   /// proven strictly ascending terms, a merge-join miss); `s` must outlive
   /// the dictionary as for InternPinned().
   LexId AppendPinned(std::string_view s) { return Append(s); }
+
+  /// Appends a copy of `s` without looking it up, as a new id. The caller
+  /// guarantees `s` is not interned yet (a patch replay's merge-walk miss).
+  LexId AppendCopy(std::string_view s) {
+    strings_.emplace_back(s);
+    return Append(strings_.back());
+  }
 
   /// Returns the id of `s` or kInvalidLex when not interned. The first
   /// lookup builds the hash index.

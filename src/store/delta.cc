@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <bit>
 #include <cstddef>
+#include <cstring>
 #include <utility>
 
 #include "store/atomic_writer.h"
 #include "store/container.h"
 #include "store/front_coding.h"
+#include "store/snapshot.h"
 #include "util/shared_array.h"
 #include "util/thread_pool.h"
 
@@ -74,41 +76,62 @@ constexpr ContainerFormat kDeltaFormat = {
 constexpr uint32_t kInvalidDense = 0xffffffffu;
 
 /// Dense numbering of the dictionary terms a graph's labels reference, in
-/// lexicographic order of the term bytes. Unlike the snapshot writer's
-/// ascending-dictionary-id convention, this order is **canonical in the
-/// graph's content**: the delta writer and the patch replayer resolve
-/// term references identically no matter how either side's dictionary was
-/// populated, so a delta applies to any base holding the right content —
-/// including one materialized by an earlier patch (chained `rdfalign
-/// diff`/`patch` over independently built snapshots).
+/// lexicographic order of the term bytes (CanonicalTermOrder). Unlike the
+/// snapshot writer's ascending-dictionary-id convention, this order is
+/// **canonical in the graph's content**: the delta writer and the patch
+/// replayer resolve term references identically no matter how either
+/// side's dictionary was populated, so a delta applies to any base holding
+/// the right content — including one materialized by an earlier patch
+/// (chained `rdfalign diff`/`patch` over independently built snapshots).
 struct TermBinding {
   std::vector<LexId> term_ids;     ///< dense index -> dictionary id
   std::vector<uint32_t> dense_of;  ///< dictionary id -> dense index
 };
 
 TermBinding BindTerms(const TripleGraph& g) {
-  const Dictionary& dict = g.dict();
-  std::vector<uint8_t> used(dict.size(), 0);
-  for (const NodeLabel& l : g.labels()) {
-    used[l.lex] = 1;
-  }
   TermBinding b;
-  for (LexId id = 0; id < used.size(); ++id) {
-    if (used[id]) b.term_ids.push_back(id);
-  }
-  // Distinct ids hold distinct strings (the dictionary interns uniquely),
-  // so the order is total and deterministic.
-  std::sort(b.term_ids.begin(), b.term_ids.end(),
-            [&dict](LexId a, LexId c) { return dict.Get(a) < dict.Get(c); });
-  b.dense_of.assign(dict.size(), kInvalidDense);
+  b.term_ids = CanonicalTermOrder(g);
+  b.dense_of.assign(g.dict().size(), kInvalidDense);
   for (size_t j = 0; j < b.term_ids.size(); ++j) {
     b.dense_of[b.term_ids[j]] = static_cast<uint32_t>(j);
   }
   return b;
 }
 
+/// Feeds a Checksummer through a fixed buffer, so each of a fingerprint's
+/// many few-byte pieces costs a memcpy rather than an Update call. The
+/// checksum is that of the concatenated bytes either way.
+class BufferedChecksummer {
+ public:
+  void Update(const void* data, size_t n) {
+    if (n > sizeof(buf_) - len_) {
+      Flush();
+      if (n > sizeof(buf_)) {
+        c_.Update(data, n);
+        return;
+      }
+    }
+    std::memcpy(buf_ + len_, data, n);
+    len_ += n;
+  }
+  uint64_t Finish() {
+    Flush();
+    return c_.Finish();
+  }
+
+ private:
+  void Flush() {
+    c_.Update(buf_, len_);
+    len_ = 0;
+  }
+
+  Checksummer c_;
+  unsigned char buf_[1 << 14];
+  size_t len_ = 0;
+};
+
 uint64_t FingerprintWithBinding(const TripleGraph& g, const TermBinding& b) {
-  Checksummer c;
+  BufferedChecksummer c;
   const uint64_t n = g.NumNodes();
   const uint64_t e = g.NumEdges();
   const uint64_t t = b.term_ids.size();
@@ -265,10 +288,16 @@ Status WriteDeltaToStream(const TripleGraph& base, const TripleGraph& next,
   // triple are added. The node map is injective, so distinct base triples
   // map to distinct next triples and each next triple is claimed at most
   // once.
+  // The search for a mapped triple is confined to its subject's slice of
+  // next's out-CSR: the triple list is sorted by (s, p, o), so that slice
+  // is exactly the subject's triples. Each next triple records the base
+  // triple claiming it, so the kept runs and the added list both come out
+  // of one ascending pass over next — no sort.
   const std::span<const Triple> base_tris = base.triples();
   const std::span<const Triple> next_tris = next.triples();
-  std::vector<uint8_t> claimed(ne, 0);
-  std::vector<std::pair<uint64_t, uint64_t>> kept;  // (next pos, base idx)
+  const std::span<const uint64_t> next_out = next.OutOffsets();
+  constexpr uint64_t kUnclaimed = ~uint64_t{0};
+  std::vector<uint64_t> claimed_by(ne, kUnclaimed);
   std::vector<RunEntry> removed_runs;
   uint64_t removed_count = 0;
   const auto add_removed = [&removed_runs, &removed_count](uint64_t i) {
@@ -290,33 +319,34 @@ Status WriteDeltaToStream(const TripleGraph& base, const TripleGraph& next,
       continue;
     }
     const Triple mapped{s, p, o};
+    const auto slice_end = next_tris.begin() + next_out[s + 1];
     const auto it =
-        std::lower_bound(next_tris.begin(), next_tris.end(), mapped);
-    if (it == next_tris.end() || !(*it == mapped)) {
+        std::lower_bound(next_tris.begin() + next_out[s], slice_end, mapped);
+    if (it == slice_end || !(*it == mapped)) {
       add_removed(i);
       continue;
     }
-    const uint64_t j = static_cast<uint64_t>(it - next_tris.begin());
-    claimed[j] = 1;
-    kept.emplace_back(j, i);
+    claimed_by[static_cast<uint64_t>(it - next_tris.begin())] = i;
   }
   // Kept runs expand in next-space order; a run continues while the base
   // indexes stay consecutive.
-  std::sort(kept.begin(), kept.end());
   std::vector<RunEntry> kept_runs;
-  for (const auto& [j, i] : kept) {
-    (void)j;
+  std::vector<Triple> added;
+  added.reserve(ne - (be - removed_count));
+  uint64_t kept_count = 0;
+  for (uint64_t j = 0; j < ne; ++j) {
+    const uint64_t i = claimed_by[j];
+    if (i == kUnclaimed) {
+      added.push_back(next_tris[j]);
+      continue;
+    }
+    ++kept_count;
     if (!kept_runs.empty() &&
         kept_runs.back().start + kept_runs.back().count == i) {
       ++kept_runs.back().count;
     } else {
       kept_runs.push_back(RunEntry{i, 1});
     }
-  }
-  std::vector<Triple> added;
-  added.reserve(ne - kept.size());
-  for (uint64_t j = 0; j < ne; ++j) {
-    if (!claimed[j]) added.push_back(next_tris[j]);
   }
 
   const SectionSource sections[kNumDeltaSectionsV2] = {
@@ -355,7 +385,7 @@ Status WriteDeltaToStream(const TripleGraph& base, const TripleGraph& next,
       kDeltaFormat, &header, std::span(sections, DeltaSectionCount(version)),
       out, name));
   if (stats != nullptr) {
-    stats->kept_triples = kept.size();
+    stats->kept_triples = kept_count;
     stats->removed_triples = removed_count;
     stats->added_triples = added.size();
     stats->new_terms = new_terms.size();
@@ -590,10 +620,37 @@ Result<TripleGraph> ApplyFromContainer(const TripleGraph& base,
   }
 
   // Dictionary: resolve each next-dense (canonical-order) term against
-  // the base dictionary or the delta blob, interning by copy — the delta
-  // buffer is transient — into the target dictionary.
+  // the base dictionary or the delta blob into the target dictionary,
+  // with the result Intern would give, without hashing. The terms arrive
+  // strictly ascending, so while the target's pre-existing entries are one
+  // ascending run a forward cursor over them finds every term already
+  // there, and a term it does not find is appended by copy (the delta
+  // buffer is transient). When the target is the base's own dictionary,
+  // base-sourced terms simply keep their ids. A target that is not one
+  // ascending run, or a term that is not greater than the last one walked
+  // (no delta this writer produces has one), falls back to Intern.
   if (dict == nullptr) dict = std::make_shared<Dictionary>();
   const size_t dict_before = dict->size();
+  const bool own_dict = dict.get() == &base.dict();
+  bool walk = dict->ascending();
+  LexId cursor = 0;
+  bool walked = false;
+  std::string_view last_walked;  // a view into `dict`, so it stays valid
+  const auto resolve = [&](std::string_view term) -> LexId {
+    if (walk && walked && !(last_walked < term)) walk = false;
+    if (!walk) return dict->Intern(term);
+    int order = 1;
+    while (cursor < dict_before &&
+           (order = dict->Get(cursor).compare(term)) < 0) {
+      ++cursor;
+    }
+    const LexId id = cursor < dict_before && order == 0
+                         ? cursor
+                         : dict->AppendCopy(term);
+    last_walked = dict->Get(id);
+    walked = true;
+    return id;
+  };
   std::vector<LexId> lex_map(tn);
   {
     uint64_t new_seen = 0;
@@ -623,10 +680,13 @@ Result<TripleGraph> ApplyFromContainer(const TripleGraph& base,
                                   suffix_len);
         }
         ++new_seen;
+      } else if (own_dict) {
+        lex_map[j] = base_terms.term_ids[src];
+        continue;
       } else {
         term = base.dict().Get(base_terms.term_ids[src]);
       }
-      lex_map[j] = dict->Intern(term);
+      lex_map[j] = resolve(term);
     }
   }
   std::vector<NodeLabel> labels(nn);
@@ -642,7 +702,7 @@ Result<TripleGraph> ApplyFromContainer(const TripleGraph& base,
   std::vector<uint64_t> in_offsets;
   std::vector<NodeId> in_subjects;
   TripleGraph::BuildCsrArrays(triples, nn, &out_offsets, &out_pairs,
-                              &in_offsets, &in_subjects, threads);
+                              &in_offsets, &in_subjects);
 
   if (stats != nullptr) {
     stats->file_bytes = c.size();

@@ -90,6 +90,49 @@ std::string_view SectionName(SectionId id) {
   return "unknown";
 }
 
+std::vector<LexId> CanonicalTermOrder(const TripleGraph& g) {
+  const Dictionary& dict = g.dict();
+  std::vector<uint8_t> used(dict.size(), 0);
+  for (const NodeLabel& l : g.labels()) {
+    used[l.lex] = 1;
+  }
+  std::vector<LexId> ids;
+  for (LexId id = 0; id < used.size(); ++id) {
+    if (used[id]) ids.push_back(id);
+  }
+  // Natural merge sort: cut the id-ordered list into its maximal strictly
+  // ascending runs, then merge neighbouring runs pairwise until one is
+  // left. A dictionary filled in sorted order (a v2 load) is one run and a
+  // rebound next version two (the base's terms, then its misses), so the
+  // usual cost is one or two linear passes; a scrambled dictionary yields
+  // many runs and degrades to an ordinary merge sort. Distinct ids hold
+  // distinct strings (the dictionary interns uniquely), so the order is
+  // total and the result is the unique sorted permutation.
+  const auto less = [&dict](LexId a, LexId c) {
+    return dict.Get(a) < dict.Get(c);
+  };
+  std::vector<size_t> bounds{0};
+  for (size_t i = 1; i < ids.size(); ++i) {
+    if (!less(ids[i - 1], ids[i])) bounds.push_back(i);
+  }
+  bounds.push_back(ids.size());
+  std::vector<LexId> tmp(bounds.size() > 2 ? ids.size() : 0);
+  while (bounds.size() > 2) {
+    std::vector<size_t> merged{0};
+    for (size_t r = 0; r + 1 < bounds.size(); r += 2) {
+      const size_t mid = bounds[r + 1];
+      const size_t hi = r + 2 < bounds.size() ? bounds[r + 2] : mid;
+      std::merge(ids.begin() + bounds[r], ids.begin() + mid,
+                 ids.begin() + mid, ids.begin() + hi, tmp.begin() + bounds[r],
+                 less);
+      merged.push_back(hi);
+    }
+    ids.swap(tmp);
+    bounds = std::move(merged);
+  }
+  return ids;
+}
+
 Status WriteSnapshotToStream(const TripleGraph& g, std::ostream& out,
                              const std::string& path,
                              const StoreWriteOptions& options) {
@@ -107,19 +150,17 @@ Status WriteSnapshotToStream(const TripleGraph& g, std::ostream& out,
   // lexicographically (the front-coding precondition). Either way, loading
   // a snapshot into a fresh dictionary interns the terms in file order, so
   // re-saving a loaded snapshot reproduces it byte for byte.
-  std::vector<uint8_t> used(dict.size(), 0);
-  for (const NodeLabel& l : g.labels()) {
-    used[l.lex] = 1;
-  }
   std::vector<LexId> term_ids;
-  for (LexId id = 0; id < used.size(); ++id) {
-    if (used[id]) term_ids.push_back(id);
-  }
   if (fc) {
-    // Distinct ids hold distinct strings, so the order is total.
-    std::sort(term_ids.begin(), term_ids.end(), [&dict](LexId a, LexId b) {
-      return dict.Get(a) < dict.Get(b);
-    });
+    term_ids = CanonicalTermOrder(g);
+  } else {
+    std::vector<uint8_t> used(dict.size(), 0);
+    for (const NodeLabel& l : g.labels()) {
+      used[l.lex] = 1;
+    }
+    for (LexId id = 0; id < used.size(); ++id) {
+      if (used[id]) term_ids.push_back(id);
+    }
   }
   const size_t num_terms = term_ids.size();
   std::vector<LexId> remap(dict.size(), kInvalidLex);
@@ -312,11 +353,11 @@ Result<TripleGraph> LoadFromContainer(const Container& c,
   // Dictionary: intern each term as a view into the pinned payload. With a
   // fresh dictionary this assigns ids 0..t-1 in file order (identity map);
   // with a shared dictionary the ids are remapped transparently. Front-coded
-  // terms into a fresh dictionary are appended unhashed, so the ascending
-  // check below is load-bearing: it proves them distinct, without which two
-  // equal labels could get two LexIds.
-  const bool fresh = dict == nullptr;
-  if (fresh) dict = std::make_shared<Dictionary>();
+  // terms into a fresh (or still empty shared) dictionary are appended
+  // unhashed, so the ascending check below is load-bearing: it proves them
+  // distinct, without which two equal labels could get two LexIds.
+  if (dict == nullptr) dict = std::make_shared<Dictionary>();
+  const bool fresh = dict->size() == 0;
   dict->PinArena(c.pin());
   const size_t dict_before = dict->size();
   std::vector<LexId> remap(t);

@@ -30,6 +30,14 @@
 
 namespace rdfalign::store {
 
+/// The dictionary ids `g`'s labels reference, in lexicographic order of
+/// their bytes: the term order of a version-2 snapshot, and the canonical
+/// dense term numbering of GraphFingerprint and of every delta
+/// (store/delta.h). Computed by merging the id-ordered list's maximal
+/// ascending runs, so a dictionary filled in sorted order (a v2 load) costs
+/// one linear pass and a rebound next version two runs' merge.
+std::vector<LexId> CanonicalTermOrder(const TripleGraph& g);
+
 /// Serializes `g` to `path`, overwriting any existing file. Only the
 /// dictionary terms actually referenced by the graph's labels are written
 /// (a shared dictionary may hold terms of other graphs), renumbered

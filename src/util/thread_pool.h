@@ -162,9 +162,12 @@ inline constexpr size_t kParallelSortGrain = size_t{1} << 14;
 /// Sorts `v` with `less`, bit-identical to std::sort for any thread count
 /// provided `less` is a total order on the element *values* (ties only
 /// between identical values) — true for the packed keys this codebase
-/// sorts. Chunk-sorts on the pool, then pairwise-merges runs in rounds.
+/// sorts. Returns after one std::is_sorted pass when `v` is already sorted
+/// (that pass stops at the first descent otherwise); else chunk-sorts on
+/// the pool, then pairwise-merges runs in rounds.
 template <typename T, typename Less = std::less<T>>
 void ParallelSort(std::vector<T>& v, size_t threads, Less less = Less{}) {
+  if (std::is_sorted(v.begin(), v.end(), less)) return;
   const size_t n = v.size();
   size_t chunks = PlanChunks(n, kParallelSortGrain);
   // Unlike the chunked loops, extra sort lanes add *work* (each merge

@@ -6,10 +6,13 @@
 
 #include "store/delta.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -17,6 +20,7 @@
 
 #include "core/aligner.h"
 #include "gen/category_gen.h"
+#include "service/graph_source.h"
 #include "store/archive_io.h"
 #include "store/snapshot.h"
 #include "test_util.h"
@@ -578,6 +582,378 @@ TEST(DeltaStoreTest, RejectsCraftedFrontCodedPrefixTable) {
   PatchWithValidChecksums<uint32_t>(crafted, *info, 9, 1, 0x10000);
   ExpectCraftedCorruption(g1, crafted, path, "prefix");
   std::remove(path.c_str());
+}
+
+// ----------------------------------------------------------------------
+// Canonical term binding by run merge: one graph content rebuilt under
+// dictionaries filled in different orders must give the same fingerprint,
+// the same delta bytes, and the std::sort order of its terms.
+
+/// Rebuilds `g`'s content — same node order, labels, and triples — under
+/// `dict`, which must already hold every label string.
+TripleGraph RebuildUnder(const TripleGraph& g,
+                         const std::shared_ptr<Dictionary>& dict) {
+  std::vector<NodeLabel> labels;
+  for (NodeId n = 0; n < g.NumNodes(); ++n) {
+    const LexId lex = dict->Find(g.Lexical(n));
+    EXPECT_NE(lex, kInvalidLex) << g.Lexical(n);
+    labels.push_back(NodeLabel{g.KindOf(n), lex});
+  }
+  return std::move(TripleGraph::FromParts(
+                       dict, std::move(labels),
+                       std::vector<Triple>(g.triples().begin(),
+                                           g.triples().end()),
+                       /*validate_rdf=*/true))
+      .value();
+}
+
+/// The distinct label strings of `g`, sorted.
+std::vector<std::string> SortedTerms(const TripleGraph& g) {
+  std::vector<std::string> terms;
+  for (NodeId n = 0; n < g.NumNodes(); ++n) {
+    terms.emplace_back(g.Lexical(n));
+  }
+  std::sort(terms.begin(), terms.end());
+  terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
+  return terms;
+}
+
+/// The std::sort reference for CanonicalTermOrder: the referenced ids,
+/// sorted by their strings.
+std::vector<LexId> SortedTermIds(const TripleGraph& g) {
+  std::vector<LexId> ids;
+  for (NodeId n = 0; n < g.NumNodes(); ++n) ids.push_back(g.LexicalId(n));
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  std::sort(ids.begin(), ids.end(), [&g](LexId a, LexId b) {
+    return g.dict().Get(a) < g.dict().Get(b);
+  });
+  return ids;
+}
+
+TEST(DeltaStoreTest, BindingIsIndependentOfDictionaryFillOrder) {
+  testing::RandomGraphOptions options;
+  options.uris = 150;
+  options.literals = 120;
+  options.blanks = 20;
+  options.edges = 700;
+  options.predicates = 8;
+  auto [g1, g2] = testing::RandomEvolvingPair(47, options);
+  const VersionNodeMap map = AlignMap(g1, g2);
+
+  const std::vector<std::string> base_terms = SortedTerms(g1);
+  std::vector<std::string> all = base_terms;
+  for (const std::string& t : SortedTerms(g2)) all.push_back(t);
+  // Terms no label references must not disturb the binding.
+  all.push_back("urn:unused-0");
+  all.push_back("\"unused-1\"");
+  std::sort(all.begin(), all.end());
+  all.erase(std::unique(all.begin(), all.end()), all.end());
+  std::vector<std::string> misses;
+  std::set_difference(all.begin(), all.end(), base_terms.begin(),
+                      base_terms.end(), std::back_inserter(misses));
+
+  std::vector<std::pair<std::string, std::vector<std::string>>> orders;
+  orders.emplace_back("sorted", all);
+  {
+    // A rebound pair: the base's run, then the next version's misses.
+    std::vector<std::string> rebind = base_terms;
+    rebind.insert(rebind.end(), misses.begin(), misses.end());
+    orders.emplace_back("rebind", rebind);
+  }
+  {
+    // Ascending blocks of five, the blocks in descending order.
+    std::vector<std::string> blocks;
+    for (size_t end = all.size(); end > 0;) {
+      const size_t begin = end >= 5 ? end - 5 : 0;
+      blocks.insert(blocks.end(), all.begin() + begin, all.begin() + end);
+      end = begin;
+    }
+    orders.emplace_back("many runs", blocks);
+  }
+  orders.emplace_back("reversed",
+                      std::vector<std::string>(all.rbegin(), all.rend()));
+  {
+    std::vector<std::string> shuffled = all;
+    std::mt19937_64 rng(7);
+    std::shuffle(shuffled.begin(), shuffled.end(), rng);
+    orders.emplace_back("random", shuffled);
+  }
+
+  const uint64_t fp1 = store::GraphFingerprint(g1);
+  const uint64_t fp2 = store::GraphFingerprint(g2);
+  std::vector<char> reference_bytes;
+  for (const auto& [name, order] : orders) {
+    SCOPED_TRACE(name);
+    auto dict = std::make_shared<Dictionary>();
+    for (const std::string& term : order) dict->Intern(term);
+    ASSERT_EQ(dict->size(), all.size());
+    const TripleGraph b = RebuildUnder(g1, dict);
+    const TripleGraph n = RebuildUnder(g2, dict);
+    EXPECT_EQ(store::GraphFingerprint(b), fp1);
+    EXPECT_EQ(store::GraphFingerprint(n), fp2);
+    EXPECT_EQ(store::CanonicalTermOrder(b), SortedTermIds(b));
+    EXPECT_EQ(store::CanonicalTermOrder(n), SortedTermIds(n));
+
+    const std::string path = TempPath("order.delta");
+    ASSERT_TRUE(WriteDelta(b, n, map, path).ok());
+    const std::vector<char> bytes = ReadFileBytes(path);
+    if (reference_bytes.empty()) reference_bytes = bytes;
+    EXPECT_EQ(bytes, reference_bytes);
+    std::remove(path.c_str());
+  }
+}
+
+// ----------------------------------------------------------------------
+// Hash-free term resolution: ApplyDelta must leave the target dictionary
+// exactly as interning the delta's terms one by one (Dictionary::Intern)
+// would, whatever the target holds, and without building its hash index.
+
+std::vector<std::string> Entries(const Dictionary& dict) {
+  std::vector<std::string> out;
+  for (LexId id = 0; id < dict.size(); ++id) out.emplace_back(dict.Get(id));
+  return out;
+}
+
+/// The Intern reference: `existing` entries, then each of `terms` (the
+/// delta's next-dense order) interned in turn.
+std::vector<std::string> InternReference(
+    const std::vector<std::string>& existing,
+    const std::vector<std::string>& terms) {
+  Dictionary ref;
+  for (const std::string& t : existing) ref.Intern(t);
+  for (const std::string& t : terms) ref.Intern(t);
+  return Entries(ref);
+}
+
+/// `g`'s terms in canonical (delta) order.
+std::vector<std::string> CanonicalTerms(const TripleGraph& g) {
+  std::vector<std::string> out;
+  for (LexId id : store::CanonicalTermOrder(g)) {
+    out.emplace_back(g.dict().Get(id));
+  }
+  return out;
+}
+
+/// Applies `delta` to `base` into `target` (nullptr: a fresh dictionary)
+/// and checks the result's dictionary against the Intern reference over
+/// `terms`. Returns the applied graph.
+TripleGraph ApplyAndCheckTerms(const TripleGraph& base,
+                               const std::string& delta,
+                               std::shared_ptr<Dictionary> target,
+                               const std::vector<std::string>& terms) {
+  const std::vector<std::string> existing =
+      target == nullptr ? std::vector<std::string>{} : Entries(*target);
+  auto applied = ApplyDelta(base, delta, target);
+  EXPECT_TRUE(applied.ok()) << applied.status();
+  if (!applied.ok()) return TripleGraph();
+  EXPECT_EQ(Entries(applied->dict()), InternReference(existing, terms));
+  return std::move(applied).value();
+}
+
+/// Writes g1 -> g2 as a v2 delta and both versions as v2 snapshots.
+struct DeltaFiles {
+  std::string base_snap;
+  std::string next_snap;
+  std::string delta;
+  ~DeltaFiles() {
+    for (const std::string* p : {&base_snap, &next_snap, &delta}) {
+      std::remove(p->c_str());
+    }
+  }
+};
+
+void WriteDeltaFiles(const TripleGraph& g1, const TripleGraph& g2,
+                     DeltaFiles* files) {
+  files->base_snap = TempPath("base.snap");
+  files->next_snap = TempPath("next.snap");
+  files->delta = TempPath("terms.delta");
+  ASSERT_TRUE(WriteSnapshot(g1, files->base_snap).ok());
+  ASSERT_TRUE(WriteSnapshot(g2, files->next_snap).ok());
+  ASSERT_TRUE(WriteDelta(g1, g2, AlignMap(g1, g2), files->delta).ok());
+}
+
+TEST(DeltaStoreTest, PatchPathNeverBuildsTheDictionaryIndex) {
+  auto [g1, g2] = testing::RandomEvolvingPair(51);
+  DeltaFiles files;
+  ASSERT_NO_FATAL_FAILURE(WriteDeltaFiles(g1, g2, &files));
+  // The patch verb's path: load (v2), rebind into a request dictionary,
+  // apply into that same dictionary.
+  auto loaded =
+      service::LoadGraphFile(files.base_snap, service::CommonOptions{}, false);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_FALSE((*loaded)->graph.dict().index_built());
+  auto dict = std::make_shared<Dictionary>();
+  const TripleGraph base = service::RebindGraph(*loaded, dict);
+  EXPECT_FALSE(dict->index_built());
+  auto next = ApplyDelta(base, files.delta, dict);
+  ASSERT_TRUE(next.ok()) << next.status();
+  EXPECT_FALSE(dict->index_built());
+  EXPECT_FALSE((*loaded)->graph.dict().index_built());
+  EXPECT_TRUE(GraphsBitIdentical(*next, g2));
+}
+
+TEST(DeltaStoreTest, TermResolutionMatchesInternReference) {
+  testing::RandomGraphOptions options;
+  options.uris = 120;
+  options.literals = 90;
+  options.edges = 500;
+  auto [g1, g2] = testing::RandomEvolvingPair(53, options);
+  DeltaFiles files;
+  ASSERT_NO_FATAL_FAILURE(WriteDeltaFiles(g1, g2, &files));
+  const std::vector<std::string> terms = CanonicalTerms(g2);
+  std::vector<std::string> new_terms;
+  {
+    const std::vector<std::string> base_terms = CanonicalTerms(g1);
+    std::set_difference(terms.begin(), terms.end(), base_terms.begin(),
+                        base_terms.end(), std::back_inserter(new_terms));
+  }
+  ASSERT_GE(new_terms.size(), 4u);
+
+  {
+    SCOPED_TRACE("the base's own (shared) dictionary");
+    auto dict = std::make_shared<Dictionary>();
+    auto base = LoadSnapshot(files.base_snap, dict);
+    ASSERT_TRUE(base.ok()) << base.status();
+    ASSERT_TRUE(dict->ascending());
+    const TripleGraph next = ApplyAndCheckTerms(*base, files.delta, dict, terms);
+    EXPECT_FALSE(dict->index_built());
+    EXPECT_TRUE(GraphsBitIdentical(next, g2));
+  }
+  {
+    SCOPED_TRACE("nullptr (a fresh dictionary)");
+    auto base = LoadSnapshot(files.base_snap, nullptr);
+    ASSERT_TRUE(base.ok()) << base.status();
+    const TripleGraph next =
+        ApplyAndCheckTerms(*base, files.delta, nullptr, terms);
+    EXPECT_FALSE(next.dict().index_built());
+    EXPECT_TRUE(GraphsBitIdentical(next, g2));
+  }
+  // Every other new term, plus strings no version uses, sorted: some of
+  // the delta's new terms already exist as unused entries.
+  std::vector<std::string> held = {"\"held-a\"", "urn:held-m", "~held-z"};
+  for (size_t k = 0; k < new_terms.size(); k += 2) {
+    held.push_back(new_terms[k]);
+  }
+  std::sort(held.begin(), held.end());
+  {
+    SCOPED_TRACE("an ascending dictionary already holding new terms");
+    auto base = LoadSnapshot(files.base_snap, nullptr);
+    ASSERT_TRUE(base.ok()) << base.status();
+    auto target = std::make_shared<Dictionary>();
+    for (const std::string& t : held) target->AppendCopy(t);
+    ASSERT_TRUE(target->ascending());
+    const TripleGraph next =
+        ApplyAndCheckTerms(*base, files.delta, target, terms);
+    EXPECT_FALSE(target->index_built());
+    EXPECT_TRUE(GraphsBitIdentical(next, g2));
+  }
+  {
+    SCOPED_TRACE("the base's own dictionary, new terms preloaded");
+    auto dict = std::make_shared<Dictionary>();
+    for (const std::string& t : held) dict->AppendCopy(t);
+    auto base = LoadSnapshot(files.base_snap, dict);
+    ASSERT_TRUE(base.ok()) << base.status();
+    const TripleGraph next = ApplyAndCheckTerms(*base, files.delta, dict, terms);
+    EXPECT_TRUE(GraphsBitIdentical(next, g2));
+  }
+  {
+    SCOPED_TRACE("a non-ascending dictionary");
+    auto base = LoadSnapshot(files.base_snap, nullptr);
+    ASSERT_TRUE(base.ok()) << base.status();
+    auto target = std::make_shared<Dictionary>();
+    for (auto it = held.rbegin(); it != held.rend(); ++it) {
+      target->AppendCopy(*it);
+    }
+    ASSERT_FALSE(target->ascending());
+    const TripleGraph next =
+        ApplyAndCheckTerms(*base, files.delta, target, terms);
+    EXPECT_TRUE(GraphsBitIdentical(next, g2));
+  }
+}
+
+TEST(DeltaStoreTest, TermResolutionMatchesInternOnV1Fixture) {
+  const std::string dir = std::string(RDFALIGN_SOURCE_DIR) + "/tests/data/";
+  auto next = LoadSnapshot(dir + "fixture_next_v1.snap", nullptr);
+  ASSERT_TRUE(next.ok()) << next.status();
+  const std::vector<std::string> terms = CanonicalTerms(*next);
+  {
+    SCOPED_TRACE("nullptr");
+    auto base = LoadSnapshot(dir + "fixture_base_v1.snap", nullptr);
+    ASSERT_TRUE(base.ok()) << base.status();
+    const TripleGraph applied =
+        ApplyAndCheckTerms(*base, dir + "fixture_v1.delta", nullptr, terms);
+    EXPECT_TRUE(GraphsBitIdentical(applied, *next));
+  }
+  {
+    SCOPED_TRACE("the base's own dictionary");
+    auto dict = std::make_shared<Dictionary>();
+    auto base = LoadSnapshot(dir + "fixture_base_v1.snap", dict);
+    ASSERT_TRUE(base.ok()) << base.status();
+    const TripleGraph applied =
+        ApplyAndCheckTerms(*base, dir + "fixture_v1.delta", dict, terms);
+    EXPECT_TRUE(GraphsBitIdentical(applied, *next));
+  }
+}
+
+// A crafted delta (checksums recomputed) whose term sources are not in
+// lexicographic order: two base references swapped. The walk must hand
+// the rest to Intern at the first out-of-order term and still match the
+// Intern reference over the delta's actual term order.
+TEST(DeltaStoreTest, TermResolutionFallsBackOnOutOfOrderTermSources) {
+  auto [g1, g2] = testing::RandomEvolvingPair(57);
+  DeltaFiles files;
+  ASSERT_NO_FATAL_FAILURE(WriteDeltaFiles(g1, g2, &files));
+  auto info = ReadDeltaInfo(files.delta);
+  ASSERT_TRUE(info.ok()) << info.status();
+  std::vector<char> bytes = ReadFileBytes(files.delta);
+  const auto& sec = info->sections[0];  // term_sources
+  std::vector<uint32_t> sources(sec.size / sizeof(uint32_t));
+  std::memcpy(sources.data(), bytes.data() + sec.offset, sec.size);
+  std::vector<size_t> from_base;
+  bool new_between = false;
+  for (size_t j = 0; j < sources.size(); ++j) {
+    if (!(sources[j] & store::kNewTermFlag)) {
+      from_base.push_back(j);
+    } else if (!from_base.empty()) {
+      new_between = true;
+    }
+  }
+  ASSERT_GE(from_base.size(), 2u);
+  ASSERT_TRUE(new_between);  // new terms follow the first swapped entry
+  const size_t j1 = from_base.front();
+  const size_t j2 = from_base.back();
+  PatchWithValidChecksums<uint32_t>(bytes, *info, 0, j1, sources[j2]);
+  PatchWithValidChecksums<uint32_t>(bytes, *info, 0, j2, sources[j1]);
+  WriteFileBytes(files.delta, bytes);
+
+  std::vector<std::string> terms = CanonicalTerms(g2);
+  std::swap(terms[j1], terms[j2]);
+  {
+    SCOPED_TRACE("nullptr");
+    auto base = LoadSnapshot(files.base_snap, nullptr);
+    ASSERT_TRUE(base.ok()) << base.status();
+    ApplyAndCheckTerms(*base, files.delta, nullptr, terms);
+  }
+  {
+    SCOPED_TRACE("the base's own dictionary");
+    auto dict = std::make_shared<Dictionary>();
+    auto base = LoadSnapshot(files.base_snap, dict);
+    ASSERT_TRUE(base.ok()) << base.status();
+    ApplyAndCheckTerms(*base, files.delta, dict, terms);
+  }
+  {
+    // The swapped terms already exist here, so a walk that went on past
+    // the first out-of-order term would miss the second and append a
+    // duplicate.
+    SCOPED_TRACE("an ascending foreign dictionary holding the base terms");
+    auto base = LoadSnapshot(files.base_snap, nullptr);
+    ASSERT_TRUE(base.ok()) << base.status();
+    auto target = std::make_shared<Dictionary>();
+    for (const std::string& t : CanonicalTerms(g1)) target->AppendCopy(t);
+    ASSERT_TRUE(target->ascending());
+    ApplyAndCheckTerms(*base, files.delta, target, terms);
+  }
 }
 
 // ----------------------------------------------------------------------

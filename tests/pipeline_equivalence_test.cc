@@ -8,10 +8,14 @@
 // byte-identity of OverlapMatch (edges *and* counters) on seeded instances.
 
 #include <algorithm>
+#include <memory>
+#include <numeric>
 #include <set>
 #include <string>
 #include <tuple>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -265,6 +269,163 @@ TEST(StatsEquivalence, EdgeAlignmentAndDeltaMatchLegacy) {
                 legacy_delta.renamed_uris.size());
     }
   }
+}
+
+// Pass 1 of ComputeEdgeAlignment counts label-identical edges through
+// label twins. These pairs stress its key semantics: one string pool
+// feeds both URIs and literals (the same string is often both), blanks
+// occur on both sides, and — in the unvalidated variants — literals are
+// subjects, or the source repeats a label (which forces the sorted-key
+// fallback).
+
+/// Node labels by string, so a spec materializes under any dictionary.
+struct GraphSpec {
+  std::vector<std::pair<TermKind, std::string>> nodes;
+  std::vector<Triple> triples;
+};
+
+TripleGraph Materialize(const GraphSpec& spec,
+                        const std::shared_ptr<Dictionary>& dict) {
+  std::vector<NodeLabel> labels;
+  for (const auto& [kind, lex] : spec.nodes) {
+    labels.push_back(NodeLabel{kind, dict->Intern(lex)});
+  }
+  return std::move(TripleGraph::FromParts(dict, std::move(labels),
+                                          spec.triples,
+                                          /*validate_rdf=*/false))
+      .value();
+}
+
+/// A random source spec over `strings` pooled strings (every one a URI,
+/// every other one also a literal) plus blanks, and a target that keeps
+/// ~80% of the source triples under a node shuffle and adds fresh ones.
+std::pair<GraphSpec, GraphSpec> PunnedPair(uint64_t seed, size_t strings,
+                                           size_t edges,
+                                           bool literal_subjects) {
+  Rng rng(seed);
+  GraphSpec src;
+  std::vector<NodeId> subjects;
+  std::vector<NodeId> predicates;
+  for (size_t k = 0; k < strings; ++k) {
+    const NodeId id = static_cast<NodeId>(src.nodes.size());
+    src.nodes.emplace_back(TermKind::kUri, "t" + std::to_string(k));
+    subjects.push_back(id);
+    if (predicates.size() < 6) predicates.push_back(id);
+  }
+  for (size_t k = 0; k < strings; k += 2) {
+    if (literal_subjects) {
+      subjects.push_back(static_cast<NodeId>(src.nodes.size()));
+    }
+    src.nodes.emplace_back(TermKind::kLiteral, "t" + std::to_string(k));
+  }
+  for (size_t k = 0; k < strings / 8 + 1; ++k) {
+    subjects.push_back(static_cast<NodeId>(src.nodes.size()));
+    src.nodes.emplace_back(TermKind::kBlank, "b" + std::to_string(k));
+  }
+  const auto random_triple = [&](size_t num_nodes,
+                                 const std::vector<NodeId>& subj) {
+    return Triple{subj[rng.Uniform(subj.size())],
+                  predicates[rng.Uniform(predicates.size())],
+                  static_cast<NodeId>(rng.Uniform(num_nodes))};
+  };
+  for (size_t i = 0; i < edges; ++i) {
+    src.triples.push_back(random_triple(src.nodes.size(), subjects));
+  }
+
+  // Target: the same labels in shuffled order, plus a few new URIs.
+  std::vector<NodeId> perm(src.nodes.size());
+  std::iota(perm.begin(), perm.end(), 0);
+  for (size_t i = perm.size(); i > 1; --i) {
+    std::swap(perm[i - 1], perm[rng.Uniform(i)]);
+  }
+  GraphSpec tgt;
+  tgt.nodes.resize(src.nodes.size());
+  for (NodeId n = 0; n < src.nodes.size(); ++n) {
+    tgt.nodes[perm[n]] = src.nodes[n];
+  }
+  for (size_t k = 0; k < strings / 10 + 1; ++k) {
+    tgt.nodes.emplace_back(TermKind::kUri, "new" + std::to_string(k));
+  }
+  for (const Triple& t : src.triples) {
+    if (rng.Bernoulli(0.8)) {
+      tgt.triples.push_back(Triple{perm[t.s], perm[t.p], perm[t.o]});
+    }
+  }
+  std::vector<NodeId> tgt_subjects;
+  for (NodeId n : subjects) tgt_subjects.push_back(perm[n]);
+  for (size_t i = 0; i < edges / 5; ++i) {
+    tgt.triples.push_back(random_triple(tgt.nodes.size(), tgt_subjects));
+  }
+  return {std::move(src), std::move(tgt)};
+}
+
+/// Gives the source a second node carrying an existing URI label, moving
+/// every other triple of the original onto the copy.
+void RepeatSourceLabel(GraphSpec& src, NodeId original) {
+  const NodeId copy = static_cast<NodeId>(src.nodes.size());
+  src.nodes.push_back(src.nodes[original]);
+  bool move = false;
+  for (Triple& t : src.triples) {
+    if (t.s != original && t.o != original) continue;
+    if (move) {
+      if (t.s == original) t.s = copy;
+      if (t.o == original) t.o = copy;
+    }
+    move = !move;
+  }
+}
+
+void ExpectEdgeStatsMatchLegacy(const GraphSpec& src, const GraphSpec& tgt,
+                                const std::vector<size_t>& thread_counts) {
+  auto dict = std::make_shared<Dictionary>();
+  const TripleGraph g1 = Materialize(src, dict);
+  const TripleGraph g2 = Materialize(tgt, dict);
+  const CombinedGraph cg = CombinedGraph::Build(g1, g2).value();
+  for (int method = 0; method < 2; ++method) {
+    const Partition p =
+        method == 0 ? TrivialPartition(cg.graph()) : HybridPartition(cg);
+    const EdgeAlignmentStats legacy_stats =
+        legacy::ComputeEdgeAlignment(cg, p);
+    for (size_t threads : thread_counts) {
+      SCOPED_TRACE("method " + std::to_string(method) + ", threads " +
+                   std::to_string(threads));
+      const EdgeAlignmentStats stats = ComputeEdgeAlignment(cg, p, threads);
+      EXPECT_EQ(stats.total_edges, legacy_stats.total_edges);
+      EXPECT_EQ(stats.aligned_edges, legacy_stats.aligned_edges);
+    }
+  }
+}
+
+TEST(StatsEquivalence, EdgeAlignmentLabelTwinsMatchLegacy) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    for (bool literal_subjects : {false, true}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) +
+                   (literal_subjects ? ", literal subjects" : ""));
+      const auto [src, tgt] =
+          PunnedPair(seed, 40 + 10 * seed, 300, literal_subjects);
+      ExpectEdgeStatsMatchLegacy(src, tgt, {1});
+    }
+  }
+}
+
+TEST(StatsEquivalence, EdgeAlignmentRepeatedSourceLabelMatchesLegacy) {
+  for (uint64_t seed = 11; seed <= 14; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    auto [src, tgt] = PunnedPair(seed, 50, 400, seed % 2 == 0);
+    RepeatSourceLabel(src, /*original=*/3);
+    ExpectEdgeStatsMatchLegacy(src, tgt, {1});
+  }
+}
+
+// Large enough (>= 2^15 combined edges) for the chunked pass-1 count to
+// engage; both the twin path and the fallback must agree for threads
+// {1, 2, 4} and with the legacy count.
+TEST(ParallelPipelineEdgeStats, LabelTwinsBitIdenticalAcrossThreads) {
+  auto [src, tgt] = PunnedPair(21, 4000, 30000, /*literal_subjects=*/false);
+  ASSERT_GE(src.triples.size() + tgt.triples.size(), size_t{1} << 15);
+  ExpectEdgeStatsMatchLegacy(src, tgt, {1, 2, 4});
+  RepeatSourceLabel(src, /*original=*/5);
+  ExpectEdgeStatsMatchLegacy(src, tgt, {1, 2, 4});
 }
 
 TEST(StatsEquivalence, PairEnumerationAndCrossoverMatchLegacy) {

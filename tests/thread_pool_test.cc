@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <numeric>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -125,6 +126,41 @@ TEST(ThreadPoolTest, ParallelSortMatchesStdSort) {
       std::vector<uint64_t> v = values;
       ParallelSort(v, threads);
       EXPECT_EQ(v, expected) << "threads " << threads;
+    }
+  }
+}
+
+// Ordered inputs: the already-sorted early exit must leave sorted input
+// untouched, and inputs it rejects (reversed, nearly sorted, one element
+// out of place at the very end) must still come out as std::sort's.
+TEST(ThreadPoolTest, ParallelSortOrderedInputsMatchStdSort) {
+  std::mt19937_64 rng(11);
+  std::vector<uint64_t> sorted(200000);
+  for (uint64_t& v : sorted) v = rng() % 50000;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<std::pair<const char*, std::vector<uint64_t>>> inputs;
+  inputs.emplace_back("sorted", sorted);
+  inputs.emplace_back("reversed",
+                      std::vector<uint64_t>(sorted.rbegin(), sorted.rend()));
+  {
+    std::vector<uint64_t> nearly = sorted;
+    for (int k = 0; k < 120; ++k) {
+      std::swap(nearly[rng() % nearly.size()], nearly[rng() % nearly.size()]);
+    }
+    inputs.emplace_back("nearly sorted", nearly);
+  }
+  {
+    std::vector<uint64_t> last_out = sorted;
+    last_out.push_back(0);
+    inputs.emplace_back("last element out of place", last_out);
+  }
+  for (const auto& [name, input] : inputs) {
+    std::vector<uint64_t> expected = input;
+    std::sort(expected.begin(), expected.end());
+    for (size_t threads : {1u, 2u, 4u}) {
+      std::vector<uint64_t> v = input;
+      ParallelSort(v, threads);
+      EXPECT_EQ(v, expected) << name << ", threads " << threads;
     }
   }
 }
