@@ -1,12 +1,9 @@
 #include "core/context.h"
 
 #include <algorithm>
-#include <cassert>
-#include <unordered_map>
 
 #include "core/alignment.h"
 #include "core/worklist_engine.h"
-#include "util/hash.h"
 
 namespace rdfalign {
 
@@ -46,8 +43,8 @@ MediationIndex::MediationIndex(const TripleGraph& g) {
               pairs_.begin() + static_cast<ptrdiff_t>(offsets_[i + 1]));
   }
   // Reverse CSR: the distinct predicates of the triples in which a node
-  // occurs as subject or object — the dirtiness relation of the
-  // incremental contextual engine. Built like TripleGraph's in-index: one
+  // occurs as subject or object — the dirtiness relation of contextual
+  // refinement. Built like TripleGraph's in-index: one
   // exact counting pass (two slots per triple), one fill pass, then an
   // in-place per-node sort+unique with left compaction.
   rev_offsets_.assign(n + 1, 0);
@@ -87,106 +84,16 @@ MediationIndex::MediationIndex(const TripleGraph& g) {
   }
 }
 
-namespace {
-
-constexpr uint32_t kKeepTag = 0;
-constexpr uint32_t kRecolorTag = 1;
-// The separator is shared with the worklist engine so both engines delimit
-// the mediation section identically.
-constexpr uint32_t kMediationSeparator = internal::kMediationSeparator;
-
-using SignatureMap =
-    std::unordered_map<std::vector<uint32_t>, ColorId, U32VectorHash>;
-
-}  // namespace
-
-Partition ContextualRefineStep(const TripleGraph& g, const Partition& p,
-                               const std::vector<NodeId>& x,
-                               const MediationIndex& mediation,
-                               const std::vector<uint8_t>& predicate_only) {
-  const size_t n = g.NumNodes();
-  assert(p.NumNodes() == n);
-  std::vector<uint8_t> in_x(n, 0);
-  for (NodeId node : x) in_x[node] = 1;
-
-  SignatureMap cons;
-  cons.reserve(n);
-  std::vector<ColorId> next(n);
-  std::vector<uint32_t> sig;
-  std::vector<uint64_t> packed;
-
-  auto append_pairs = [&](std::span<const PredicateObject> pairs) {
-    packed.clear();
-    for (const PredicateObject& po : pairs) {
-      packed.push_back(PackPair(p.ColorOf(po.p), p.ColorOf(po.o)));
-    }
-    std::sort(packed.begin(), packed.end());
-    packed.erase(std::unique(packed.begin(), packed.end()), packed.end());
-    for (uint64_t v : packed) {
-      sig.push_back(UnpackHi(v));
-      sig.push_back(UnpackLo(v));
-    }
-  };
-
-  for (NodeId node = 0; node < n; ++node) {
-    sig.clear();
-    if (!in_x[node]) {
-      sig.push_back(kKeepTag);
-      sig.push_back(p.ColorOf(node));
-    } else {
-      sig.push_back(kRecolorTag);
-      sig.push_back(p.ColorOf(node));
-      append_pairs(g.Out(node));
-      if (predicate_only[node]) {
-        // The mediation signature: colors of (subject, object) pairs of the
-        // triples this node mediates, separated from the out-signature.
-        sig.push_back(kMediationSeparator);
-        append_pairs(mediation.Mediated(node));
-      }
-    }
-    auto [it, inserted] = cons.try_emplace(std::vector<uint32_t>(sig),
-                                           static_cast<ColorId>(cons.size()));
-    next[node] = it->second;
-  }
-  return Partition::FromColors(std::move(next));
-}
-
 Partition ContextualRefineFixpoint(const TripleGraph& g, Partition initial,
                                    const std::vector<NodeId>& x,
                                    const MediationIndex& mediation,
                                    const std::vector<uint8_t>& predicate_only,
                                    RefinementStats* stats,
                                    const RefinementOptions& options) {
-  RefinementStats local;
-  local.initial_classes = initial.NumColors();
-  Partition result;
-  if (options.incremental) {
-    internal::WorklistConfig config;
-    config.mediation = &mediation;
-    config.predicate_only = &predicate_only;
-    config.threads = options.threads;
-    config.parallel_min_round = options.parallel_min_round;
-    result = internal::RunWorklistFixpoint(g, initial, x, config, &local);
-    assert(Partition::IsFinerOrEqual(result, initial));
-  } else {
-    Partition current = std::move(initial);
-    const size_t hard_cap = g.NumNodes() + 2;
-    for (size_t iter = 0; iter < hard_cap; ++iter) {
-      Partition next =
-          ContextualRefineStep(g, current, x, mediation, predicate_only);
-      ++local.iterations;
-      local.dirty_per_iteration.push_back(x.size());
-      if (next.NumColors() == current.NumColors()) {
-        current = std::move(next);
-        break;
-      }
-      current = std::move(next);
-    }
-    result = std::move(current);
-  }
-  local.final_classes = result.NumColors();
-  if (stats != nullptr) *stats = std::move(local);
-  return result;
+  return internal::RunWorklistFixpoint(
+      g, initial, x,
+      {.mediation = &mediation, .predicate_only = &predicate_only}, options,
+      stats);
 }
 
 ContextualHybridInputs BuildContextualHybridInputs(const CombinedGraph& cg) {

@@ -31,8 +31,8 @@ std::vector<NodeId> PredicateOnlyUris(const TripleGraph& g);
 /// An index from predicate node to the (subject, object) pairs of the
 /// triples it mediates (CSR layout, pairs sorted), plus the reverse
 /// direction: from a node to the distinct predicates mediating it. The
-/// reverse index is the dirtiness relation of the incremental contextual
-/// engine — when a node's color changes, exactly the predicates in
+/// reverse index is the dirtiness relation of contextual refinement —
+/// when a node's color changes, exactly the predicates in
 /// MediatingPredicates() can observe the change through their mediation
 /// signatures.
 class MediationIndex {
@@ -58,21 +58,12 @@ class MediationIndex {
   std::vector<NodeId> rev_predicates_;
 };
 
-/// One contextual refinement step: nodes in X are recolored by the usual
+/// Contextual fixpoint: nodes in X are recolored by the usual
 /// out-neighborhood signature, and nodes in X that are predicate-only URIs
-/// additionally carry their mediation signature.
-Partition ContextualRefineStep(const TripleGraph& g, const Partition& p,
-                               const std::vector<NodeId>& x,
-                               const MediationIndex& mediation,
-                               const std::vector<uint8_t>& predicate_only);
-
-/// Fixpoint of the contextual step, using the engine selected by `options`:
-/// the incremental worklist engine (default) re-signs only dirty nodes,
-/// with dirtiness following both the out-neighborhood (TripleGraph::In) and
-/// the mediation index; the legacy engine full-rescans every iteration.
-/// Both produce bit-identical partitions, and both honor
-/// RefinementOptions::threads for parallel signing of wide rounds
-/// (incremental engine only).
+/// additionally carry their mediation signature. The worklist engine
+/// re-signs only dirty nodes, with dirtiness following both the
+/// out-neighborhood (TripleGraph::In) and the mediation index, and honors
+/// RefinementOptions::threads for parallel signing of wide rounds.
 Partition ContextualRefineFixpoint(const TripleGraph& g, Partition initial,
                                    const std::vector<NodeId>& x,
                                    const MediationIndex& mediation,
@@ -91,7 +82,7 @@ struct ContextualHybridInputs {
 };
 
 /// Builds the inputs PredicateAwareHybridPartition refines over. Exposed so
-/// the refinement bench can A/B the contextual engines on exactly the
+/// the refinement bench and the rescan oracle refine exactly the
 /// production shape.
 ContextualHybridInputs BuildContextualHybridInputs(const CombinedGraph& cg);
 

@@ -1,124 +1,14 @@
 #include "core/refinement.h"
 
-#include <algorithm>
-#include <cassert>
-#include <unordered_map>
-
 #include "core/worklist_engine.h"
-#include "util/hash.h"
 
 namespace rdfalign {
-
-namespace {
-
-// Signature tags keep recolored nodes in a different key space from kept
-// nodes: recolor_λ(n) is a structured pair and can never equal a plain kept
-// color (see §3.2 eq. 1-2).
-constexpr uint32_t kKeepTag = 0;
-constexpr uint32_t kRecolorTag = 1;
-
-using SignatureMap =
-    std::unordered_map<std::vector<uint32_t>, ColorId, U32VectorHash>;
-
-ColorId ConsSignature(SignatureMap& cons, std::vector<uint32_t>&& sig) {
-  auto [it, inserted] =
-      cons.try_emplace(std::move(sig), static_cast<ColorId>(cons.size()));
-  return it->second;
-}
-
-// Shared fixpoint driver: `mask == nullptr` selects plain refinement. The
-// incremental worklist engine lives in core/worklist_engine.cc (it is
-// shared with the contextual refinement of core/context.cc).
-Partition RefineFixpointImpl(const TripleGraph& g, Partition initial,
-                             const std::vector<NodeId>& x,
-                             const std::vector<uint8_t>* mask,
-                             const RefinementOptions& options,
-                             RefinementStats* stats) {
-  RefinementStats local;
-  local.initial_classes = initial.NumColors();
-  Partition result;
-  if (options.incremental) {
-    internal::WorklistConfig config;
-    config.predicate_mask = mask;
-    config.threads = options.threads;
-    config.parallel_min_round = options.parallel_min_round;
-    result = internal::RunWorklistFixpoint(g, initial, x, config, &local);
-    assert(Partition::IsFinerOrEqual(result, initial));
-  } else {
-    Partition current = std::move(initial);
-    // A step only splits classes (the old color is part of the signature),
-    // so n steps suffice; the loop stops at the first step that splits
-    // nothing.
-    const size_t hard_cap = g.NumNodes() + 2;
-    for (size_t iter = 0; iter < hard_cap; ++iter) {
-      Partition next = mask == nullptr
-                           ? BisimRefineStep(g, current, x)
-                           : BisimRefineStepKeyed(g, current, x, *mask);
-      ++local.iterations;
-      local.dirty_per_iteration.push_back(x.size());
-      assert(Partition::IsFinerOrEqual(next, current));
-      if (next.NumColors() == current.NumColors()) {
-        // Equal class counts between a partition and its refinement imply
-        // equivalence (Definition 4's stopping rule).
-        current = std::move(next);
-        break;
-      }
-      current = std::move(next);
-    }
-    result = std::move(current);
-  }
-  local.final_classes = result.NumColors();
-  if (stats != nullptr) *stats = std::move(local);
-  return result;
-}
-
-}  // namespace
-
-Partition BisimRefineStep(const TripleGraph& g, const Partition& p,
-                          const std::vector<NodeId>& x) {
-  const size_t n = g.NumNodes();
-  assert(p.NumNodes() == n);
-
-  std::vector<uint8_t> in_x(n, 0);
-  for (NodeId node : x) in_x[node] = 1;
-
-  SignatureMap cons;
-  cons.reserve(n);
-  std::vector<ColorId> next(n);
-
-  std::vector<uint32_t> sig;
-  std::vector<uint64_t> pairs;
-  for (NodeId node = 0; node < n; ++node) {
-    sig.clear();
-    if (!in_x[node]) {
-      sig.push_back(kKeepTag);
-      sig.push_back(p.ColorOf(node));
-    } else {
-      // Gather the out-neighborhood color pairs as a *set* (eq. 1).
-      pairs.clear();
-      for (const PredicateObject& po : g.Out(node)) {
-        pairs.push_back(PackPair(p.ColorOf(po.p), p.ColorOf(po.o)));
-      }
-      std::sort(pairs.begin(), pairs.end());
-      pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-      sig.push_back(kRecolorTag);
-      sig.push_back(p.ColorOf(node));
-      for (uint64_t pair : pairs) {
-        sig.push_back(UnpackHi(pair));
-        sig.push_back(UnpackLo(pair));
-      }
-    }
-    next[node] = ConsSignature(cons, std::vector<uint32_t>(sig));
-  }
-  return Partition::FromColors(std::move(next));
-}
 
 Partition BisimRefineFixpoint(const TripleGraph& g, Partition initial,
                               const std::vector<NodeId>& x,
                               RefinementStats* stats,
                               const RefinementOptions& options) {
-  return RefineFixpointImpl(g, std::move(initial), x, nullptr, options,
-                            stats);
+  return internal::RunWorklistFixpoint(g, initial, x, {}, options, stats);
 }
 
 Partition BlankColors(const Partition& p, const std::vector<NodeId>& x) {
@@ -144,51 +34,13 @@ std::vector<uint8_t> BuildPredicateMask(
   return mask;
 }
 
-Partition BisimRefineStepKeyed(const TripleGraph& g, const Partition& p,
-                               const std::vector<NodeId>& x,
-                               const std::vector<uint8_t>& predicate_mask) {
-  const size_t n = g.NumNodes();
-  assert(p.NumNodes() == n);
-  std::vector<uint8_t> in_x(n, 0);
-  for (NodeId node : x) in_x[node] = 1;
-
-  SignatureMap cons;
-  cons.reserve(n);
-  std::vector<ColorId> next(n);
-  std::vector<uint32_t> sig;
-  std::vector<uint64_t> pairs;
-  for (NodeId node = 0; node < n; ++node) {
-    sig.clear();
-    if (!in_x[node]) {
-      sig.push_back(kKeepTag);
-      sig.push_back(p.ColorOf(node));
-    } else {
-      pairs.clear();
-      for (const PredicateObject& po : g.Out(node)) {
-        if (!predicate_mask[po.p]) continue;  // non-key attribute: ignored
-        pairs.push_back(PackPair(p.ColorOf(po.p), p.ColorOf(po.o)));
-      }
-      std::sort(pairs.begin(), pairs.end());
-      pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-      sig.push_back(kRecolorTag);
-      sig.push_back(p.ColorOf(node));
-      for (uint64_t pair : pairs) {
-        sig.push_back(UnpackHi(pair));
-        sig.push_back(UnpackLo(pair));
-      }
-    }
-    next[node] = ConsSignature(cons, std::vector<uint32_t>(sig));
-  }
-  return Partition::FromColors(std::move(next));
-}
-
 Partition BisimRefineFixpointKeyed(const TripleGraph& g, Partition initial,
                                    const std::vector<NodeId>& x,
                                    const std::vector<uint8_t>& predicate_mask,
                                    RefinementStats* stats,
                                    const RefinementOptions& options) {
-  return RefineFixpointImpl(g, std::move(initial), x, &predicate_mask,
-                            options, stats);
+  return internal::RunWorklistFixpoint(
+      g, initial, x, {.predicate_mask = &predicate_mask}, options, stats);
 }
 
 }  // namespace rdfalign

@@ -1,6 +1,5 @@
 #include "parser/ntriples_writer.h"
 
-#include <fstream>
 #include <sstream>
 
 #include "store/atomic_writer.h"
@@ -48,14 +47,9 @@ std::string NTriplesToString(const TripleGraph& g) {
 }
 
 Status WriteNTriplesFile(const TripleGraph& g, const std::string& path) {
-  store::AtomicFileWriter writer(path, "N-Triples");
-  RDFALIGN_RETURN_IF_ERROR(writer.Open());
-  Status st = WriteNTriples(g, writer.stream());
-  if (!st.ok()) {
-    Status io = writer.status();
-    return io.ok() ? st : io;
-  }
-  return writer.Commit();
+  return store::AtomicWriteStream(path, "N-Triples", [&](std::ostream& out) {
+    return WriteNTriples(g, out);
+  });
 }
 
 }  // namespace rdfalign

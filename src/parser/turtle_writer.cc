@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <fstream>
 #include <sstream>
 #include <unordered_map>
 #include <vector>
@@ -173,14 +172,9 @@ std::string TurtleToString(const TripleGraph& g,
 
 Status WriteTurtleFile(const TripleGraph& g, const std::string& path,
                        const TurtleWriteOptions& options) {
-  store::AtomicFileWriter writer(path, "Turtle");
-  RDFALIGN_RETURN_IF_ERROR(writer.Open());
-  Status st = WriteTurtle(g, writer.stream(), options);
-  if (!st.ok()) {
-    Status io = writer.status();
-    return io.ok() ? st : io;
-  }
-  return writer.Commit();
+  return store::AtomicWriteStream(path, "Turtle", [&](std::ostream& out) {
+    return WriteTurtle(g, out, options);
+  });
 }
 
 }  // namespace rdfalign

@@ -1,4 +1,4 @@
-#include "core/pipeline_legacy.h"
+#include "oracle/pipeline.h"
 
 #include <algorithm>
 #include <cmath>
@@ -10,7 +10,7 @@
 
 #include "util/hash.h"
 
-namespace rdfalign::legacy {
+namespace rdfalign::oracle {
 
 namespace {
 
@@ -33,6 +33,36 @@ TripleKey MakeColorKey(const Partition& p, const Triple& t) {
 }
 
 }  // namespace
+
+Result<UnionGraph> BuildUnion(const TripleGraph& g1, const TripleGraph& g2) {
+  if (g1.dict_ptr().get() != g2.dict_ptr().get()) {
+    return Status::InvalidArgument(
+        "BuildUnion requires both graphs to share one Dictionary");
+  }
+  const NodeId n1 = static_cast<NodeId>(g1.NumNodes());
+  const NodeId n2 = static_cast<NodeId>(g2.NumNodes());
+
+  std::vector<NodeLabel> labels;
+  labels.reserve(n1 + n2);
+  labels.insert(labels.end(), g1.labels().begin(), g1.labels().end());
+  labels.insert(labels.end(), g2.labels().begin(), g2.labels().end());
+
+  std::vector<Triple> triples;
+  triples.reserve(g1.NumEdges() + g2.NumEdges());
+  triples.insert(triples.end(), g1.triples().begin(), g1.triples().end());
+  for (const Triple& t : g2.triples()) {
+    triples.push_back(Triple{t.s + n1, t.p + n1, t.o + n1});
+  }
+
+  // The union is a triple graph, not an RDF graph: skip RDF validation
+  // (label uniqueness does not hold across sides by design).
+  RDFALIGN_ASSIGN_OR_RETURN(
+      TripleGraph combined,
+      TripleGraph::FromParts(g1.dict_ptr(), std::move(labels),
+                             std::move(triples), /*validate_rdf=*/false));
+  return UnionGraph{std::move(combined), n1, n2, g1.NumEdges(),
+                    g2.NumEdges()};
+}
 
 std::pair<std::vector<ColorId>, size_t> RenumberFirstOccurrence(
     std::vector<ColorId> colors) {
@@ -350,4 +380,4 @@ BipartiteMatching OverlapMatch(
   return h;
 }
 
-}  // namespace rdfalign::legacy
+}  // namespace rdfalign::oracle

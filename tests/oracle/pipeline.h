@@ -1,19 +1,17 @@
 // Reference (pre-flat-rewrite) implementations of the alignment pipeline's
-// glue: hash-map/tree-based Partition ops, edge/delta statistics, pair
-// enumeration, and the unordered-map inverted index of Algorithm 1.
+// glue: the re-indexing merge, hash-map/tree-based Partition ops,
+// edge/delta statistics, pair enumeration, and the unordered-map inverted
+// index of Algorithm 1.
 //
-// These are the exact algorithms the dense-ID rewrite replaced. They are
-// kept — like RefinementOptions{.incremental=false} keeps the full-rescan
-// refinement engine — for two purposes:
-//   * bench/pipeline_bench.cc A/Bs each phase against them and refuses to
-//     emit BENCH_pipeline.json unless the outputs are identical;
-//   * tests/pipeline_equivalence_test.cc uses them as oracles on random,
-//     non-contiguous, and adversarial inputs.
-// They are NOT on any production path; do not "optimize" them — their value
-// is being a faithful copy of the old semantics.
+// These are the exact algorithms the dense-ID rewrite replaced, kept as
+// test oracles only: tests/pipeline_equivalence_test.cc checks every flat
+// phase against them on random, non-contiguous, and adversarial inputs.
+// They are compiled into the test binary, never into the library. Do not
+// "optimize" them — their value is being a faithful copy of the old
+// semantics.
 
-#ifndef RDFALIGN_CORE_PIPELINE_LEGACY_H_
-#define RDFALIGN_CORE_PIPELINE_LEGACY_H_
+#ifndef RDFALIGN_TESTS_ORACLE_PIPELINE_H_
+#define RDFALIGN_TESTS_ORACLE_PIPELINE_H_
 
 #include <cstdint>
 #include <functional>
@@ -27,7 +25,21 @@
 #include "core/partition.h"
 #include "rdf/merge.h"
 
-namespace rdfalign::legacy {
+namespace rdfalign::oracle {
+
+/// The union G1 ⊎ G2 as the pre-rewrite merge built it.
+struct UnionGraph {
+  TripleGraph graph;
+  NodeId n1 = 0;
+  NodeId n2 = 0;
+  size_t e1 = 0;
+  size_t e2 = 0;
+};
+
+/// The old CombinedGraph::Build: concatenate both sides' parts (target ids
+/// shifted by n1) and rebuild every index through TripleGraph::FromParts.
+/// The graphs must share one Dictionary.
+Result<UnionGraph> BuildUnion(const TripleGraph& g1, const TripleGraph& g2);
 
 /// Per-node characterizing sets as the pre-rewrite per-node heap vectors.
 using VectorCharSets = std::vector<std::vector<uint64_t>>;
@@ -75,6 +87,6 @@ BipartiteMatching OverlapMatch(
     const OverlapMatchOptions& options = {},
     OverlapMatchStats* stats = nullptr);
 
-}  // namespace rdfalign::legacy
+}  // namespace rdfalign::oracle
 
-#endif  // RDFALIGN_CORE_PIPELINE_LEGACY_H_
+#endif  // RDFALIGN_TESTS_ORACLE_PIPELINE_H_

@@ -10,6 +10,7 @@
 #include "core/deblank.h"
 #include "core/hybrid.h"
 #include "core/sigma_edit.h"
+#include "oracle/refinement.h"
 #include "test_util.h"
 
 namespace rdfalign {
@@ -77,12 +78,12 @@ TEST(Example2, FixpointColorsOfFigure4) {
   // "after the first iteration they are split into two separate classes"
   std::vector<NodeId> all(g.NumNodes());
   for (NodeId i = 0; i < g.NumNodes(); ++i) all[i] = i;
-  Partition l1 = BisimRefineStep(g, l0, all);
+  Partition l1 = oracle::BisimRefineStep(g, l0, all);
   EXPECT_NE(l1.ColorOf(g.FindBlank("b1")), l1.ColorOf(g.FindBlank("b2")));
   EXPECT_EQ(l1.ColorOf(g.FindBlank("b2")), l1.ColorOf(g.FindBlank("b3")));
   // "Since the partition λ2 is the same as the previous partition λ1, the
   // end result is λ1."
-  Partition l2 = BisimRefineStep(g, l1, all);
+  Partition l2 = oracle::BisimRefineStep(g, l1, all);
   EXPECT_TRUE(Partition::Equivalent(l1, l2));
   RefinementStats stats;
   Partition fix = BisimRefineFixpoint(g, l0, all, &stats);

@@ -1,6 +1,6 @@
-// Equivalence of the flat dense-ID pipeline against the legacy hash-map
-// implementations (core/pipeline_legacy.h) — the ISSUE 4 contract: the
-// rewrite must be a pure representation change, with bit-identical outputs.
+// Equivalence of the flat dense-ID pipeline against the pre-rewrite
+// hash-map oracles (tests/oracle/pipeline.h): the rewrite must be a pure
+// representation change, with bit-identical outputs.
 //
 // Covers random partitions (dense, non-contiguous, adversarially sparse
 // color ids), the label-keyed partition constructors, the merge fast path,
@@ -24,9 +24,9 @@
 #include "core/edit_distance.h"
 #include "core/hybrid.h"
 #include "core/overlap_align.h"
-#include "core/pipeline_legacy.h"
 #include "gen/category_gen.h"
 #include "gen/textgen.h"
+#include "oracle/pipeline.h"
 #include "rdf/merge.h"
 #include "util/random.h"
 #include "util/string_util.h"
@@ -75,7 +75,7 @@ TEST(FlatPartitionEquivalence, FromColorsMatchesLegacyOnRandomInputs) {
       std::vector<ColorId> colors = RandomColors(rng, n, style);
       Partition flat = Partition::FromColors(colors);
       auto [legacy_colors, legacy_count] =
-          legacy::RenumberFirstOccurrence(colors);
+          oracle::RenumberFirstOccurrence(colors);
       EXPECT_EQ(flat.colors(), legacy_colors)
           << "style=" << style << " trial=" << trial;
       EXPECT_EQ(flat.NumColors(), legacy_count);
@@ -89,7 +89,7 @@ TEST(FlatPartitionEquivalence, FromColorsHandlesAdversarialSentinelValues) {
   std::vector<ColorId> colors = {0xffffffffu, 0, 0xffffffffu, 0xfffffffeu, 0};
   Partition p = Partition::FromColors(colors);
   auto [legacy_colors, legacy_count] =
-      legacy::RenumberFirstOccurrence(colors);
+      oracle::RenumberFirstOccurrence(colors);
   EXPECT_EQ(p.colors(), legacy_colors);
   EXPECT_EQ(p.NumColors(), legacy_count);
   EXPECT_EQ(p.NumColors(), 3u);
@@ -119,13 +119,13 @@ TEST(FlatPartitionEquivalence, EquivalentAndFinerMatchLegacy) {
         b = Partition::FromColors(RandomColors(rng, n, 0));
         break;
     }
-    EXPECT_EQ(Partition::Equivalent(a, b), legacy::PartitionEquivalent(a, b))
+    EXPECT_EQ(Partition::Equivalent(a, b), oracle::PartitionEquivalent(a, b))
         << trial;
     EXPECT_EQ(Partition::IsFinerOrEqual(a, b),
-              legacy::PartitionIsFinerOrEqual(a, b))
+              oracle::PartitionIsFinerOrEqual(a, b))
         << trial;
     EXPECT_EQ(Partition::IsFinerOrEqual(b, a),
-              legacy::PartitionIsFinerOrEqual(b, a))
+              oracle::PartitionIsFinerOrEqual(b, a))
         << trial;
     EXPECT_TRUE(Partition::Equivalent(a, a));
     EXPECT_TRUE(Partition::IsFinerOrEqual(a, a));
@@ -139,7 +139,7 @@ TEST(FlatPartitionEquivalence, ClassesCsrMatchesLegacyVectors) {
     Partition p = Partition::FromColors(RandomColors(rng, n, trial % 3));
     PartitionClasses csr = p.Classes();
     std::vector<std::vector<NodeId>> legacy_classes =
-        legacy::PartitionClassesVectors(p);
+        oracle::PartitionClassesVectors(p);
     ASSERT_EQ(csr.size(), legacy_classes.size());
     for (size_t c = 0; c < csr.size(); ++c) {
       std::span<const NodeId> members = csr[c];
@@ -156,9 +156,9 @@ TEST(FlatPartitionEquivalence, LabelKeyedConstructorsMatchLegacy) {
     auto [g1, g2] = RandomVersionPair(seed);
     auto cg = CombinedGraph::Build(g1, g2).value();
     const TripleGraph& g = cg.graph();
-    EXPECT_EQ(LabelPartition(g).colors(), legacy::LabelPartition(g).colors());
+    EXPECT_EQ(LabelPartition(g).colors(), oracle::LabelPartition(g).colors());
     EXPECT_EQ(TrivialPartition(g).colors(),
-              legacy::TrivialPartition(g).colors());
+              oracle::TrivialPartition(g).colors());
   }
 }
 
@@ -182,9 +182,9 @@ TEST(FlatPartitionEquivalence, LabelKeyedConstructorsWithOversizedDictionary) {
   b.AddTriple(blank2, p, lit);
   TripleGraph g = std::move(b.Build(true)).value();
   ASSERT_GT(g.dict().size(), 4 * g.NumNodes() + 1024);
-  EXPECT_EQ(LabelPartition(g).colors(), legacy::LabelPartition(g).colors());
+  EXPECT_EQ(LabelPartition(g).colors(), oracle::LabelPartition(g).colors());
   EXPECT_EQ(TrivialPartition(g).colors(),
-            legacy::TrivialPartition(g).colors());
+            oracle::TrivialPartition(g).colors());
   // Blanks: one shared class under ℓ_G, singletons under λ_Trivial.
   Partition lp = LabelPartition(g);
   EXPECT_EQ(lp.ColorOf(blank1), lp.ColorOf(blank2));
@@ -198,22 +198,22 @@ TEST(MergeEquivalence, FastBuildIsBitIdenticalToLegacyReindex) {
   for (uint64_t seed : {1ull, 2ull, 3ull, 4ull, 5ull}) {
     auto [g1, g2] = RandomVersionPair(seed);
     auto fast = CombinedGraph::Build(g1, g2).value();
-    auto slow = CombinedGraph::BuildLegacy(g1, g2).value();
-    ASSERT_TRUE(LabeledGraphsEqual(fast.graph(), slow.graph())) << seed;
+    auto slow = oracle::BuildUnion(g1, g2).value();
+    ASSERT_TRUE(LabeledGraphsEqual(fast.graph(), slow.graph)) << seed;
     // The CSR indexes must match element for element, not just semantically.
     auto spans_equal = [](auto a, auto b) {
       return std::equal(a.begin(), a.end(), b.begin(), b.end());
     };
     EXPECT_TRUE(spans_equal(fast.graph().OutOffsets(),
-                            slow.graph().OutOffsets()));
+                            slow.graph.OutOffsets()));
     EXPECT_TRUE(spans_equal(fast.graph().OutPairs(),
-                            slow.graph().OutPairs()));
+                            slow.graph.OutPairs()));
     EXPECT_TRUE(spans_equal(fast.graph().InOffsets(),
-                            slow.graph().InOffsets()));
+                            slow.graph.InOffsets()));
     EXPECT_TRUE(spans_equal(fast.graph().InSubjects(),
-                            slow.graph().InSubjects()));
-    EXPECT_EQ(fast.n1(), slow.n1());
-    EXPECT_EQ(fast.e2(), slow.e2());
+                            slow.graph.InSubjects()));
+    EXPECT_EQ(fast.n1(), slow.n1);
+    EXPECT_EQ(fast.e2(), slow.e2);
     // Node lookup by label behaves the same (first match wins per side).
     EXPECT_EQ(fast.graph().FindUri("not-there"), kInvalidNode);
   }
@@ -227,11 +227,11 @@ TEST(MergeEquivalence, EmptySidesMerge) {
   auto g1 = std::move(b1.Build(true)).value();
   auto g2 = std::move(b2.Build(true)).value();
   auto fast = CombinedGraph::Build(g1, g2).value();
-  auto slow = CombinedGraph::BuildLegacy(g1, g2).value();
-  EXPECT_TRUE(LabeledGraphsEqual(fast.graph(), slow.graph()));
+  auto slow = oracle::BuildUnion(g1, g2).value();
+  EXPECT_TRUE(LabeledGraphsEqual(fast.graph(), slow.graph));
   auto fast2 = CombinedGraph::Build(g2, g1).value();
-  auto slow2 = CombinedGraph::BuildLegacy(g2, g1).value();
-  EXPECT_TRUE(LabeledGraphsEqual(fast2.graph(), slow2.graph()));
+  auto slow2 = oracle::BuildUnion(g2, g1).value();
+  EXPECT_TRUE(LabeledGraphsEqual(fast2.graph(), slow2.graph));
   EXPECT_EQ(fast2.n1(), 0u);
 }
 
@@ -245,12 +245,12 @@ TEST(StatsEquivalence, EdgeAlignmentAndDeltaMatchLegacy) {
       Partition p = method == 0 ? TrivialPartition(cg.graph())
                                 : HybridPartition(cg);
       EdgeAlignmentStats flat_stats = ComputeEdgeAlignment(cg, p);
-      EdgeAlignmentStats legacy_stats = legacy::ComputeEdgeAlignment(cg, p);
+      EdgeAlignmentStats legacy_stats = oracle::ComputeEdgeAlignment(cg, p);
       EXPECT_EQ(flat_stats.total_edges, legacy_stats.total_edges);
       EXPECT_EQ(flat_stats.aligned_edges, legacy_stats.aligned_edges);
 
       RdfDelta flat_delta = ComputeDelta(cg, p);
-      RdfDelta legacy_delta = legacy::ComputeDelta(cg, p);
+      RdfDelta legacy_delta = oracle::ComputeDelta(cg, p);
       EXPECT_EQ(flat_delta.unchanged, legacy_delta.unchanged);
       // added/deleted preserve triple order exactly.
       EXPECT_EQ(flat_delta.added, legacy_delta.added);
@@ -385,7 +385,7 @@ void ExpectEdgeStatsMatchLegacy(const GraphSpec& src, const GraphSpec& tgt,
     const Partition p =
         method == 0 ? TrivialPartition(cg.graph()) : HybridPartition(cg);
     const EdgeAlignmentStats legacy_stats =
-        legacy::ComputeEdgeAlignment(cg, p);
+        oracle::ComputeEdgeAlignment(cg, p);
     for (size_t threads : thread_counts) {
       SCOPED_TRACE("method " + std::to_string(method) + ", threads " +
                    std::to_string(threads));
@@ -434,7 +434,7 @@ TEST(StatsEquivalence, PairEnumerationAndCrossoverMatchLegacy) {
     auto cg = CombinedGraph::Build(g1, g2).value();
     Partition p = HybridPartition(cg);
     auto flat_pairs = EnumerateAlignedPairs(cg, p);
-    auto legacy_pairs = legacy::EnumerateAlignedPairs(cg, p);
+    auto legacy_pairs = oracle::EnumerateAlignedPairs(cg, p);
     std::set<std::pair<NodeId, NodeId>> flat_set(flat_pairs.begin(),
                                                  flat_pairs.end());
     std::set<std::pair<NodeId, NodeId>> legacy_set(legacy_pairs.begin(),
@@ -442,7 +442,7 @@ TEST(StatsEquivalence, PairEnumerationAndCrossoverMatchLegacy) {
     EXPECT_EQ(flat_set, legacy_set);
     EXPECT_EQ(flat_pairs.size(), legacy_pairs.size());
     EXPECT_EQ(HasCrossoverProperty(flat_pairs),
-              legacy::HasCrossoverProperty(flat_pairs));
+              oracle::HasCrossoverProperty(flat_pairs));
     EXPECT_TRUE(HasCrossoverProperty(flat_pairs));
     // Limit still respected, deterministically.
     auto limited = EnumerateAlignedPairs(cg, p, 5);
@@ -454,13 +454,13 @@ TEST(StatsEquivalence, PairEnumerationAndCrossoverMatchLegacy) {
 TEST(StatsEquivalence, CrossoverCheckerAgreesOnViolations) {
   std::vector<std::pair<NodeId, NodeId>> bad = {{1, 10}, {1, 11}, {2, 10}};
   EXPECT_FALSE(HasCrossoverProperty(bad));
-  EXPECT_FALSE(legacy::HasCrossoverProperty(bad));
+  EXPECT_FALSE(oracle::HasCrossoverProperty(bad));
   bad.emplace_back(2, 11);
   EXPECT_TRUE(HasCrossoverProperty(bad));
-  EXPECT_TRUE(legacy::HasCrossoverProperty(bad));
+  EXPECT_TRUE(oracle::HasCrossoverProperty(bad));
   // Duplicated pairs must not change the verdict.
   bad.push_back(bad.front());
-  EXPECT_EQ(HasCrossoverProperty(bad), legacy::HasCrossoverProperty(bad));
+  EXPECT_EQ(HasCrossoverProperty(bad), oracle::HasCrossoverProperty(bad));
 }
 
 // ------------------------------------------------------------ OverlapMatch ---
@@ -471,8 +471,8 @@ struct DualFixture {
   std::vector<NodeId> b_nodes;
   CharacterizingSets a_csr;
   CharacterizingSets b_csr;
-  legacy::VectorCharSets a_vec;
-  legacy::VectorCharSets b_vec;
+  oracle::VectorCharSets a_vec;
+  oracle::VectorCharSets b_vec;
   std::vector<std::string> a_text;
   std::vector<std::string> b_text;
 };
@@ -527,7 +527,7 @@ TEST_P(OverlapMatchByteIdentity, EdgesAndCountersAreIdenticalToLegacy) {
                                         f.b_csr, theta, sigma, options,
                                         &flat_stats);
   BipartiteMatching legacy_h =
-      legacy::OverlapMatch(f.a_nodes, f.b_nodes, f.a_vec, f.b_vec, theta,
+      oracle::OverlapMatch(f.a_nodes, f.b_nodes, f.a_vec, f.b_vec, theta,
                            sigma, options, &legacy_stats);
   // Byte identity: same edges, same order, same distances, same counters.
   ASSERT_EQ(flat.edges.size(), legacy_h.edges.size());
@@ -553,7 +553,7 @@ TEST(OverlapMatchByteIdentityTest, EmptyAndDegenerateInputs) {
   auto zero = [](size_t, size_t) { return 0.0; };
   OverlapMatchStats s1, s2;
   auto e1 = OverlapMatch({}, f.b_nodes, {}, f.b_csr, 0.5, zero, {}, &s1);
-  auto e2 = legacy::OverlapMatch({}, f.b_nodes, {}, f.b_vec, 0.5, zero, {},
+  auto e2 = oracle::OverlapMatch({}, f.b_nodes, {}, f.b_vec, 0.5, zero, {},
                                  &s2);
   EXPECT_TRUE(e1.Empty());
   EXPECT_TRUE(e2.Empty());

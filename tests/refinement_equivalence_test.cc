@@ -1,26 +1,27 @@
-// Randomized equivalence harness: the incremental worklist engine and the
-// legacy full-rescan engine must compute the same fixpoint partition — in
-// fact bit-identical dense color vectors, since Partition::FromColors
-// renumbers canonically — across random graphs, refinable subsets,
-// predicate keys, and mediation (contextual) instances. Small graphs are
-// additionally cross-checked against the brute-force maximal-bisimulation
-// oracle.
+// Randomized equivalence harness: the library's worklist engine and the
+// full-rescan oracle (tests/oracle/refinement.h) must compute the same
+// fixpoint partition — in fact bit-identical dense color vectors, since
+// Partition::FromColors renumbers canonically — across random graphs,
+// refinable subsets, predicate keys, mediation (contextual) instances, and
+// the generated category and EFO workloads. Small graphs are additionally
+// cross-checked against the brute-force maximal-bisimulation oracle.
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <utility>
 
 #include "core/bisim.h"
 #include "core/context.h"
 #include "core/refinement.h"
+#include "gen/category_gen.h"
+#include "gen/efo_gen.h"
+#include "oracle/refinement.h"
 #include "test_util.h"
 
 namespace rdfalign {
 namespace {
-
-const RefinementOptions kIncremental{.incremental = true};
-const RefinementOptions kLegacy{.incremental = false};
 
 std::vector<NodeId> AllNodes(const TripleGraph& g) {
   std::vector<NodeId> all(g.NumNodes());
@@ -28,8 +29,8 @@ std::vector<NodeId> AllNodes(const TripleGraph& g) {
   return all;
 }
 
-// Compares the two engines on one (graph, initial, x) instance and checks
-// the incremental stats invariants.
+// Compares the worklist engine with the rescan oracle on one (graph,
+// initial, x) instance and checks the worklist stats invariants.
 void ExpectEnginesAgree(const TripleGraph& g, const Partition& initial,
                         const std::vector<NodeId>& x,
                         const std::vector<uint8_t>* mask) {
@@ -37,14 +38,13 @@ void ExpectEnginesAgree(const TripleGraph& g, const Partition& initial,
   RefinementStats leg_stats;
   Partition inc =
       mask == nullptr
-          ? BisimRefineFixpoint(g, initial, x, &inc_stats, kIncremental)
-          : BisimRefineFixpointKeyed(g, initial, x, *mask, &inc_stats,
-                                     kIncremental);
+          ? BisimRefineFixpoint(g, initial, x, &inc_stats)
+          : BisimRefineFixpointKeyed(g, initial, x, *mask, &inc_stats);
   Partition leg =
       mask == nullptr
-          ? BisimRefineFixpoint(g, initial, x, &leg_stats, kLegacy)
-          : BisimRefineFixpointKeyed(g, initial, x, *mask, &leg_stats,
-                                     kLegacy);
+          ? oracle::BisimRefineFixpoint(g, initial, x, &leg_stats)
+          : oracle::BisimRefineFixpointKeyed(g, initial, x, *mask,
+                                             &leg_stats);
   ASSERT_TRUE(Partition::Equivalent(inc, leg));
   // FromColors renumbers by first occurrence, which is canonical for an
   // equivalence relation: equal relations give equal vectors.
@@ -55,12 +55,12 @@ void ExpectEnginesAgree(const TripleGraph& g, const Partition& initial,
   if (!inc_stats.dirty_per_iteration.empty()) {
     EXPECT_EQ(inc_stats.dirty_per_iteration.front(), x.size());
   }
-  // Steady-state work must not exceed the legacy engine's rescan total.
+  // Steady-state work must not exceed the oracle's rescan total.
   EXPECT_LE(inc_stats.TotalDirty(), leg_stats.TotalDirty());
 }
 
-// Contextual (mediation-aware) refinement: the worklist port must match
-// the legacy ContextualRefineFixpoint full-rescan driver bit for bit.
+// Contextual (mediation-aware) refinement: the worklist engine must match
+// the oracle's full-rescan ContextualRefineFixpoint bit for bit.
 // Returns the number of predicate-only URIs so callers can assert the
 // mediation path was actually exercised across a suite of instances.
 size_t ExpectContextualEnginesAgree(const TripleGraph& g,
@@ -73,11 +73,9 @@ size_t ExpectContextualEnginesAgree(const TripleGraph& g,
   RefinementStats inc_stats;
   RefinementStats leg_stats;
   Partition inc = ContextualRefineFixpoint(g, initial, x, mediation,
-                                           predicate_only, &inc_stats,
-                                           kIncremental);
-  Partition leg = ContextualRefineFixpoint(g, initial, x, mediation,
-                                           predicate_only, &leg_stats,
-                                           kLegacy);
+                                           predicate_only, &inc_stats);
+  Partition leg = oracle::ContextualRefineFixpoint(g, initial, x, mediation,
+                                                   predicate_only, &leg_stats);
   EXPECT_TRUE(Partition::Equivalent(inc, leg));
   EXPECT_EQ(inc.colors(), leg.colors());
   EXPECT_EQ(inc_stats.final_classes, leg_stats.final_classes);
@@ -157,7 +155,7 @@ TEST_P(BruteForceCrossCheck, IncrementalMatchesOracleOnSmallGraphs) {
   options.predicates = 2;
   TripleGraph g = testing::RandomGraph(options);
 
-  Partition p = BisimPartition(g, nullptr, kIncremental);
+  Partition p = BisimPartition(g);
   auto oracle = MaximalBisimulationBruteForce(g);
   std::set<std::pair<NodeId, NodeId>> rel(oracle.begin(), oracle.end());
   for (NodeId a = 0; a < g.NumNodes(); ++a) {
@@ -185,10 +183,10 @@ TEST(EngineEquivalenceTest, EmptySubsetIsIdentityInBothEngines) {
   TripleGraph g = testing::Fig2Graph();
   Partition p0 = LabelPartition(g);
   RefinementStats stats;
-  Partition inc = BisimRefineFixpoint(g, p0, {}, &stats, kIncremental);
+  Partition inc = BisimRefineFixpoint(g, p0, {}, &stats);
   EXPECT_TRUE(Partition::Equivalent(p0, inc));
   EXPECT_GE(stats.iterations, 1u);
-  Partition leg = BisimRefineFixpoint(g, p0, {}, nullptr, kLegacy);
+  Partition leg = oracle::BisimRefineFixpoint(g, p0, {}, nullptr);
   EXPECT_TRUE(Partition::Equivalent(inc, leg));
 }
 
@@ -232,14 +230,13 @@ class ContextualEvolvingPairEquivalence
 
 TEST_P(ContextualEvolvingPairEquivalence, PredicateAwareHybridAgrees) {
   // End-to-end: the predicate-aware hybrid alignment over a combined
-  // two-version graph must not depend on the engine.
+  // two-version graph must match the rescan oracle.
   auto [g1, g2] = testing::RandomEvolvingPair(GetParam());
   CombinedGraph cg = testing::Combine(g1, g2);
   RefinementStats inc_stats;
   RefinementStats leg_stats;
-  Partition inc =
-      PredicateAwareHybridPartition(cg, &inc_stats, kIncremental);
-  Partition leg = PredicateAwareHybridPartition(cg, &leg_stats, kLegacy);
+  Partition inc = PredicateAwareHybridPartition(cg, &inc_stats);
+  Partition leg = oracle::PredicateAwareHybridPartition(cg, &leg_stats);
   ASSERT_TRUE(Partition::Equivalent(inc, leg));
   EXPECT_EQ(inc.colors(), leg.colors());
   EXPECT_EQ(inc_stats.final_classes, leg_stats.final_classes);
@@ -249,10 +246,55 @@ TEST_P(ContextualEvolvingPairEquivalence, PredicateAwareHybridAgrees) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ContextualEvolvingPairEquivalence,
                          ::testing::Range<uint64_t>(1, 13));
 
+// The generated workloads the refinement bench times, at scale 0.1: the
+// worklist engine must reproduce the rescan oracle on the production
+// shapes — full bisimulation, keyed refinement, and the predicate-aware
+// hybrid alignment.
+CombinedGraph GeneratedPair(const std::string& workload) {
+  constexpr double kScale = 0.1;
+  constexpr uint64_t kSeed = 5;
+  if (workload == "category") {
+    gen::CategoryChain chain = gen::CategoryChain::Generate(
+        gen::CategoryOptions::FromScale(kScale, /*versions=*/2, kSeed));
+    return testing::Combine(chain.Version(0), chain.Version(1));
+  }
+  gen::EfoOptions options;
+  options.initial_classes = static_cast<size_t>(2000 * kScale);
+  options.versions = 2;
+  options.seed = kSeed;
+  gen::EfoChain chain = gen::EfoChain::Generate(options);
+  return testing::Combine(chain.Version(0), chain.Version(1));
+}
+
+class GeneratedWorkloadEngineEquivalence
+    : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(GeneratedWorkloadEngineEquivalence, PlainKeyedAndContextualAgree) {
+  CombinedGraph cg = GeneratedPair(GetParam());
+  const TripleGraph& g = cg.graph();
+  ExpectEnginesAgree(g, LabelPartition(g), AllNodes(g), nullptr);
+
+  std::vector<uint8_t> mask(g.NumNodes(), 0);
+  for (const Triple& t : g.triples()) {
+    if (g.LexicalId(t.p) % 2 == 0) mask[t.p] = 1;
+  }
+  ExpectEnginesAgree(g, LabelPartition(g), AllNodes(g), &mask);
+
+  RefinementStats inc_stats;
+  RefinementStats leg_stats;
+  Partition inc = PredicateAwareHybridPartition(cg, &inc_stats);
+  Partition leg = oracle::PredicateAwareHybridPartition(cg, &leg_stats);
+  EXPECT_EQ(inc.colors(), leg.colors());
+  EXPECT_EQ(inc_stats.final_classes, leg_stats.final_classes);
+}
+
+INSTANTIATE_TEST_SUITE_P(Scale0_1, GeneratedWorkloadEngineEquivalence,
+                         ::testing::Values("category", "efo"));
+
 TEST(EngineEquivalenceTest, DirtyCountsShrinkOnChainGraph) {
   // A long chain ending in a distinguishing literal: each round can split
   // only one more node, so the worklist must collapse to O(1) per round
-  // while the legacy engine rescans everything.
+  // while the rescan oracle re-signs everything.
   GraphBuilder b;
   NodeId p = b.AddUri("ex:p");
   constexpr int kLen = 40;
@@ -264,8 +306,7 @@ TEST(EngineEquivalenceTest, DirtyCountsShrinkOnChainGraph) {
 
   RefinementStats stats;
   Partition fix = BisimRefineFixpoint(g, LabelPartition(g),
-                                      g.NodesOfKind(TermKind::kBlank),
-                                      &stats, kIncremental);
+                                      g.NodesOfKind(TermKind::kBlank), &stats);
   EXPECT_EQ(stats.final_classes, fix.NumColors());
   ASSERT_GE(stats.dirty_per_iteration.size(), 3u);
   // After the full first pass the worklist is tiny (the split frontier).

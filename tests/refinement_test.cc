@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oracle/refinement.h"
 #include "test_util.h"
 
 namespace rdfalign {
@@ -18,7 +19,7 @@ TEST(RefineStepTest, SplitsByOutNeighborhood) {
   // from b1 after one step.
   TripleGraph g = testing::Fig2Graph();
   Partition p0 = LabelPartition(g);
-  Partition p1 = BisimRefineStep(g, p0, AllNodes(g));
+  Partition p1 = oracle::BisimRefineStep(g, p0, AllNodes(g));
   NodeId b1 = g.FindBlank("b1");
   NodeId b2 = g.FindBlank("b2");
   NodeId b3 = g.FindBlank("b3");
@@ -32,7 +33,7 @@ TEST(RefineStepTest, RecoloredAndKeptNodesNeverMerge) {
   TripleGraph g = testing::Fig2Graph();
   Partition p0 = LabelPartition(g);
   // Refine only b1; b2/b3 keep the shared blank color, b1 must leave it.
-  Partition p1 = BisimRefineStep(g, p0, {g.FindBlank("b1")});
+  Partition p1 = oracle::BisimRefineStep(g, p0, {g.FindBlank("b1")});
   EXPECT_NE(p1.ColorOf(g.FindBlank("b1")), p1.ColorOf(g.FindBlank("b2")));
   EXPECT_EQ(p1.ColorOf(g.FindBlank("b2")), p1.ColorOf(g.FindBlank("b3")));
 }
@@ -40,7 +41,7 @@ TEST(RefineStepTest, RecoloredAndKeptNodesNeverMerge) {
 TEST(RefineStepTest, EmptySubsetIsEquivalentIdentity) {
   TripleGraph g = testing::Fig2Graph();
   Partition p0 = LabelPartition(g);
-  Partition p1 = BisimRefineStep(g, p0, {});
+  Partition p1 = oracle::BisimRefineStep(g, p0, {});
   EXPECT_TRUE(Partition::Equivalent(p0, p1));
 }
 
@@ -52,7 +53,7 @@ TEST(RefineStepTest, SinkNodesKeepStableIdentity) {
   NodeId lit_a = g.FindLiteral("a");
   NodeId lit_b = g.FindLiteral("b");
   for (int i = 0; i < 3; ++i) {
-    Partition next = BisimRefineStep(g, p, AllNodes(g));
+    Partition next = oracle::BisimRefineStep(g, p, AllNodes(g));
     // Both literals remain singletons and distinct.
     EXPECT_NE(next.ColorOf(lit_a), next.ColorOf(lit_b));
     p = std::move(next);
@@ -68,15 +69,16 @@ TEST(RefineFixpointTest, StabilizesAndReportsStats) {
   EXPECT_EQ(stats.final_classes, fix.NumColors());
   EXPECT_GE(stats.final_classes, stats.initial_classes);
   // Applying one more step changes nothing.
-  Partition again = BisimRefineStep(g, fix, AllNodes(g));
+  Partition again = oracle::BisimRefineStep(g, fix, AllNodes(g));
   EXPECT_TRUE(Partition::Equivalent(fix, again));
 }
 
 TEST(RefineFixpointTest, Example2FixpointReachedAfterOneSplit) {
   // In Example 2 λ2 ≡ λ1: the process stabilizes after the first split.
   TripleGraph g = testing::Fig2Graph();
-  Partition p1 = BisimRefineStep(g, LabelPartition(g), AllNodes(g));
-  Partition p2 = BisimRefineStep(g, p1, AllNodes(g));
+  Partition p1 =
+      oracle::BisimRefineStep(g, LabelPartition(g), AllNodes(g));
+  Partition p2 = oracle::BisimRefineStep(g, p1, AllNodes(g));
   EXPECT_TRUE(Partition::Equivalent(p1, p2));
 }
 
@@ -141,14 +143,15 @@ TEST_P(RefinementPropertyTest, MonotoneAndIdempotent) {
 
   Partition current = LabelPartition(g);
   for (int i = 0; i < 20; ++i) {
-    Partition next = BisimRefineStep(g, current, all);
+    Partition next = oracle::BisimRefineStep(g, current, all);
     ASSERT_TRUE(Partition::IsFinerOrEqual(next, current));
     if (Partition::Equivalent(next, current)) break;
     current = std::move(next);
   }
   Partition fix = BisimRefineFixpoint(g, LabelPartition(g), all);
   EXPECT_TRUE(Partition::Equivalent(fix, current));
-  EXPECT_TRUE(Partition::Equivalent(BisimRefineStep(g, fix, all), fix));
+  EXPECT_TRUE(
+      Partition::Equivalent(oracle::BisimRefineStep(g, fix, all), fix));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RefinementPropertyTest,

@@ -385,6 +385,14 @@ TEST_P(FrontCodedMutationTest, RejectsPrefixLongerThanPreviousTerm) {
   ExpectRejectedWith(crafted, "prefix past term 0", "prefix longer");
 }
 
+TEST_P(FrontCodedMutationTest, RejectsNonzeroRestartPrefix) {
+  // Term 0 opens the first restart block; it must be stored whole.
+  std::vector<char> crafted = bytes_;
+  StoreAt<uint32_t>(crafted, table_[GetParam().dict->prefix_lens].offset,
+                    uint32_t{1});
+  ExpectRejectedWith(crafted, "restart prefix 1", "restart term");
+}
+
 std::string FormatName(const ::testing::TestParamInfo<FormatCase>& info) {
   return info.param.name;
 }

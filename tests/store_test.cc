@@ -520,41 +520,6 @@ TEST(SnapshotStoreTest, RejectsCraftedFrontCodedOffsets) {
   std::remove(path.c_str());
 }
 
-// Crafted blob bytes that decode to a non-ascending term sequence: the
-// geometry is untouched, so only the strict-ascending decode check can
-// reject the file (sorted order is what makes resave byte-identical).
-// Patching term 0's bytes would change every shared prefix head with it
-// and keep the order — the divergence byte of term 1 (the first byte of
-// its own suffix) is the one the order hinges on.
-TEST(SnapshotStoreTest, RejectsCraftedNonAscendingTerms) {
-  TripleGraph g = MixedGraph();
-  const std::string path = TempPath("fc_order.snap");
-  ASSERT_TRUE(WriteSnapshot(g, path).ok());
-  auto info = ReadSnapshotInfo(path);
-  ASSERT_TRUE(info.ok());
-  ASSERT_GE(info->num_terms, 2u);
-  std::vector<char> bytes = ReadFileBytes(path);
-  // Section index 0 = suffix offsets, 1 = term_blob. Term 1's suffix
-  // starts at suffix_offsets[1]; forcing its first byte to 0x00 makes the
-  // decoded term 1 sort before term 0 (MixedGraph's smallest two terms
-  // diverge at their suffix byte; neither is a prefix of the other).
-  uint64_t suffix_start = 0;
-  std::memcpy(&suffix_start,
-              bytes.data() + info->sections[0].offset + sizeof(uint64_t),
-              sizeof(suffix_start));
-  const unsigned char bogus = 0x00;
-  PatchBytesWithValidChecksums(bytes, *info, /*sec_index=*/1,
-                               static_cast<size_t>(suffix_start), &bogus,
-                               sizeof(bogus));
-  WriteFileBytes(path, bytes);
-  auto loaded = LoadSnapshot(path, nullptr);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status();
-  EXPECT_NE(loaded.status().message().find("ascending"), std::string::npos)
-      << loaded.status();
-  std::remove(path.c_str());
-}
-
 // The buffered loader validates the header prefix before allocating
 // anything file-sized: a junk file inflated to tens of gigabytes (sparse,
 // so cheap to create) must be rejected from its first bytes, not buffered.
