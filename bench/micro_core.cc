@@ -73,35 +73,6 @@ void BM_RefineFixpoint(benchmark::State& state) {
 }
 BENCHMARK(BM_RefineFixpoint)->Arg(100)->Arg(400)->Arg(2000);
 
-// range(0): EFO initial classes; range(1): signing threads.
-// parallel_min_round is lowered so the pool engages at micro-bench scale
-// too.
-void BM_RefineFixpointParallel(benchmark::State& state) {
-  gen::EfoOptions options;
-  options.initial_classes = state.range(0);
-  options.versions = 2;
-  gen::EfoChain chain = gen::EfoChain::Generate(options);
-  auto cg =
-      CombinedGraph::Build(chain.Version(0), chain.Version(1)).value();
-  const TripleGraph& g = cg.graph();
-  std::vector<NodeId> all(g.NumNodes());
-  for (NodeId i = 0; i < g.NumNodes(); ++i) all[i] = i;
-  RefinementOptions engine;
-  engine.threads = state.range(1);
-  engine.parallel_min_round = 512;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        BisimRefineFixpoint(g, LabelPartition(g), all, nullptr, engine));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(g.NumEdges()));
-}
-BENCHMARK(BM_RefineFixpointParallel)
-    ->Args({2000, 1})
-    ->Args({2000, 2})
-    ->Args({2000, 4})
-    ->Args({2000, 8});
-
 void BM_OverlapMeasure(benchmark::State& state) {
   Rng rng(3);
   const size_t k = state.range(0);

@@ -1,14 +1,10 @@
 // Bench of the refinement fixpoint engine: absolute per-workload timings.
 //
-// Three experiments over combined two-version graphs from the category
+// Two experiments over combined two-version graphs from the category
 // (Fig. 16 scalability) and EFO (Fig. 9) generators:
 //
 //  1. plain refinement: full bisimulation from the label partition;
-//  2. a signing-thread sweep (threads = 1, 2, 4, 8) of that fixpoint — its
-//     first round signs every node, so it is where the pool bites. Every
-//     count must reproduce the 1-thread partition bit for bit, or the bench
-//     exits nonzero;
-//  3. contextual (mediation-aware) refinement in the predicate-aware-hybrid
+//  2. contextual (mediation-aware) refinement in the predicate-aware-hybrid
 //     shape.
 //
 // Agreement with the full-rescan oracle on these generators is pinned by
@@ -42,19 +38,11 @@ struct RunResult {
   std::string name;
   size_t nodes = 0;
   size_t edges = 0;
-  double refine_ms = 0;  // the 1-thread fixpoint of the sweep
+  double refine_ms = 0;
   size_t iterations = 0;
   size_t resignings = 0;
   size_t signature_bytes = 0;
   size_t final_classes = 0;
-};
-
-struct ThreadsResult {
-  std::string name;
-  size_t threads = 0;
-  double first_round_ms = 0;
-  double total_ms = 0;
-  bool identical = false;  // colors equal the threads=1 run
 };
 
 struct ContextualResult {
@@ -67,44 +55,25 @@ struct ContextualResult {
   size_t final_classes = 0;
 };
 
-// Full bisimulation at each signing-thread count; the 1-thread run fills
-// the workload row. Bit-identical partitions across counts are part of the
-// engine contract and re-checked here at full scale.
-RunResult RunWorkload(const std::string& name, const TripleGraph& g,
-                      std::vector<ThreadsResult>* sweep) {
+// Full bisimulation from the label partition.
+RunResult RunWorkload(const std::string& name, const TripleGraph& g) {
   RunResult r;
   r.name = name;
   r.nodes = g.NumNodes();
   r.edges = g.NumEdges();
   std::vector<NodeId> all(g.NumNodes());
   for (NodeId i = 0; i < g.NumNodes(); ++i) all[i] = i;
-  // Untimed warm-up, so the 1-thread row does not alone pay the first-touch
-  // page faults of the allocator.
+  // Untimed warm-up, so the timed run does not pay the first-touch page
+  // faults of the allocator.
   (void)BisimRefineFixpoint(g, LabelPartition(g), all);
-  Partition baseline;
-  for (size_t threads : {1u, 2u, 4u, 8u}) {
-    RefinementOptions options;
-    options.threads = threads;
-    RefinementStats stats;
-    WallTimer timer;
-    Partition p = BisimRefineFixpoint(g, LabelPartition(g), all, &stats,
-                                      options);
-    ThreadsResult t;
-    t.name = name;
-    t.threads = threads;
-    t.total_ms = timer.ElapsedMillis();
-    t.first_round_ms = stats.first_round_ms;
-    t.identical = threads == 1 || p.colors() == baseline.colors();
-    sweep->push_back(t);
-    if (threads == 1) {
-      r.refine_ms = t.total_ms;
-      r.iterations = stats.iterations;
-      r.resignings = stats.TotalDirty();
-      r.signature_bytes = stats.signature_bytes;
-      r.final_classes = p.NumColors();
-      baseline = std::move(p);
-    }
-  }
+  RefinementStats stats;
+  WallTimer timer;
+  Partition p = BisimRefineFixpoint(g, LabelPartition(g), all, &stats);
+  r.refine_ms = timer.ElapsedMillis();
+  r.iterations = stats.iterations;
+  r.resignings = stats.TotalDirty();
+  r.signature_bytes = stats.signature_bytes;
+  r.final_classes = p.NumColors();
   return r;
 }
 
@@ -132,7 +101,6 @@ ContextualResult RunContextual(const std::string& name,
 }
 
 bool WriteJson(const std::string& path, const std::vector<RunResult>& runs,
-               const std::vector<ThreadsResult>& sweep,
                const std::vector<ContextualResult>& contextual, double scale,
                uint64_t seed) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -146,9 +114,8 @@ bool WriteJson(const std::string& path, const std::vector<RunResult>& runs,
   std::fprintf(f, "  \"seed\": %llu,\n", (unsigned long long)seed);
   std::fprintf(f, "  \"hardware_threads\": %u,\n",
                std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"provenance\": \"single-process wall clock; "
-               "hardware_threads records the recording box — on a 1-core "
-               "box the threads_sweep is expected to stay flat\",\n");
+  std::fprintf(f, "  \"provenance\": \"single-process wall clock of one "
+               "serial fixpoint after an untimed warm-up\",\n");
   std::fprintf(f, "  \"workloads\": [\n");
   for (size_t i = 0; i < runs.size(); ++i) {
     const RunResult& r = runs[i];
@@ -162,19 +129,6 @@ bool WriteJson(const std::string& path, const std::vector<RunResult>& runs,
     std::fprintf(f, "      \"signature_bytes\": %zu,\n", r.signature_bytes);
     std::fprintf(f, "      \"final_classes\": %zu\n", r.final_classes);
     std::fprintf(f, "    }%s\n", i + 1 < runs.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"threads_sweep\": [\n");
-  for (size_t i = 0; i < sweep.size(); ++i) {
-    const ThreadsResult& r = sweep[i];
-    std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"name\": \"%s\",\n", r.name.c_str());
-    std::fprintf(f, "      \"threads\": %zu,\n", r.threads);
-    std::fprintf(f, "      \"first_round_ms\": %.2f,\n", r.first_round_ms);
-    std::fprintf(f, "      \"total_ms\": %.2f,\n", r.total_ms);
-    std::fprintf(f, "      \"identical\": %s\n",
-                 r.identical ? "true" : "false");
-    std::fprintf(f, "    }%s\n", i + 1 < sweep.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"contextual\": [\n");
@@ -204,17 +158,15 @@ int main(int argc, char** argv) {
   const std::string out = flags.GetString("out", "BENCH_refinement.json");
 
   bench::Banner("Refinement fixpoint engine",
-                "worklist fixpoint timings, signing-thread sweep, and "
-                "contextual refinement");
+                "worklist fixpoint timings and contextual refinement");
 
   std::vector<RunResult> runs;
-  std::vector<ThreadsResult> sweep;
   std::vector<ContextualResult> contextual;
   {
     gen::CategoryChain chain = gen::CategoryChain::Generate(
         gen::CategoryOptions::FromScale(scale, /*versions=*/2, seed));
     auto cg = CombinedGraph::Build(chain.Version(0), chain.Version(1)).value();
-    runs.push_back(RunWorkload("category", cg.graph(), &sweep));
+    runs.push_back(RunWorkload("category", cg.graph()));
     contextual.push_back(RunContextual("category", cg));
   }
   {
@@ -225,7 +177,7 @@ int main(int argc, char** argv) {
     options.seed = seed;
     gen::EfoChain chain = gen::EfoChain::Generate(options);
     auto cg = CombinedGraph::Build(chain.Version(0), chain.Version(1)).value();
-    runs.push_back(RunWorkload("efo", cg.graph(), &sweep));
+    runs.push_back(RunWorkload("efo", cg.graph()));
     contextual.push_back(RunContextual("efo", cg));
   }
 
@@ -236,19 +188,6 @@ int main(int argc, char** argv) {
       table.Row({r.name, bench::FmtInt(r.nodes), bench::FmtInt(r.edges),
                  bench::Fmt("%.1f", r.refine_ms), bench::FmtInt(r.iterations),
                  bench::FmtInt(r.resignings), bench::FmtInt(r.final_classes)});
-    }
-  }
-  bool all_identical = true;
-  std::printf("\nfirst-round signing thread sweep\n");
-  {
-    bench::TablePrinter table(
-        {"workload", "threads", "round1(ms)", "total(ms)", "identical"});
-    for (const ThreadsResult& r : sweep) {
-      table.Row({r.name, bench::FmtInt(r.threads),
-                 bench::Fmt("%.1f", r.first_round_ms),
-                 bench::Fmt("%.1f", r.total_ms),
-                 r.identical ? "yes" : "NO"});
-      all_identical = all_identical && r.identical;
     }
   }
   std::printf("\ncontextual refinement (predicate-aware hybrid shape)\n");
@@ -262,7 +201,7 @@ int main(int argc, char** argv) {
                  bench::FmtInt(r.final_classes)});
     }
   }
-  const bool wrote = WriteJson(out, runs, sweep, contextual, scale, seed);
+  const bool wrote = WriteJson(out, runs, contextual, scale, seed);
   if (wrote) std::printf("\nwrote %s\n", out.c_str());
-  return all_identical && wrote ? 0 : 1;
+  return wrote ? 0 : 1;
 }

@@ -1,7 +1,5 @@
 #include "core/aligner.h"
 
-#include <algorithm>
-
 #include "core/context.h"
 #include "core/deblank.h"
 #include "core/hybrid.h"
@@ -47,16 +45,13 @@ AlignmentOutcome Aligner::AlignCombined(const CombinedGraph& cg) const {
       outcome.refinement.final_classes = outcome.partition.NumColors();
       break;
     case AlignMethod::kDeblank:
-      outcome.partition =
-          DeblankPartition(cg, &outcome.refinement, options_.refinement);
+      outcome.partition = DeblankPartition(cg, &outcome.refinement);
       break;
     case AlignMethod::kHybrid:
-      outcome.partition =
-          HybridPartition(cg, &outcome.refinement, options_.refinement);
+      outcome.partition = HybridPartition(cg, &outcome.refinement);
       break;
     case AlignMethod::kHybridContextual:
-      outcome.partition = PredicateAwareHybridPartition(
-          cg, &outcome.refinement, options_.refinement);
+      outcome.partition = PredicateAwareHybridPartition(cg, &outcome.refinement);
       break;
     case AlignMethod::kOverlap: {
       OverlapAlignOptions oopt = options_.overlap;
@@ -64,6 +59,7 @@ AlignmentOutcome Aligner::AlignCombined(const CombinedGraph& cg) const {
       OverlapAlignResult r = OverlapAlign(cg, oopt);
       outcome.partition = std::move(r.xi.partition);
       outcome.weights = std::move(r.xi.weight);
+      outcome.phases.refine_ms = r.refine_ms;
       outcome.phases.enrich_ms = r.enrich_ms;
       outcome.phases.overlap_index_ms = r.index_ms;
       outcome.phases.match_ms = r.match_ms;
@@ -71,13 +67,11 @@ AlignmentOutcome Aligner::AlignCombined(const CombinedGraph& cg) const {
     }
   }
   outcome.seconds = timer.ElapsedSeconds();
-  // refine_ms is the method core minus the overlap sub-phases (for the
-  // non-overlap methods that difference is the whole method); clamp the
-  // tiny negative values double rounding can produce.
-  outcome.phases.refine_ms =
-      std::max(0.0, 1000.0 * outcome.seconds - outcome.phases.enrich_ms -
-                        outcome.phases.overlap_index_ms -
-                        outcome.phases.match_ms);
+  // Every non-overlap method is one partition call; overlap times its base
+  // fixpoint itself.
+  if (options_.method != AlignMethod::kOverlap) {
+    outcome.phases.refine_ms = 1000.0 * outcome.seconds;
+  }
   WallTimer stats_timer;
   const size_t threads = ResolveThreads(options_.refinement.threads);
   outcome.edge_stats = ComputeEdgeAlignment(cg, outcome.partition, threads);

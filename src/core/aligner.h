@@ -40,9 +40,9 @@ std::string_view AlignMethodToString(AlignMethod method);
 /// Configuration of an Aligner.
 struct AlignerOptions {
   AlignMethod method = AlignMethod::kHybrid;
-  /// Engine selection and signing-thread count for the refinement
-  /// fixpoints (kDeblank/kHybrid/kHybridContextual; kOverlap takes the
-  /// setting from `overlap.propagate.refinement`).
+  /// `threads` is the pool lane count for the merge, the statistics and
+  /// (as OverlapAlignOptions::threads) the overlap kernels; refinement
+  /// itself is serial.
   RefinementOptions refinement;
   /// Used when method == kOverlap.
   OverlapAlignOptions overlap;

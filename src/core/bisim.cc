@@ -32,11 +32,10 @@ bool Simulates(const TripleGraph& g,
 
 }  // namespace
 
-Partition BisimPartition(const TripleGraph& g, RefinementStats* stats,
-                         const RefinementOptions& options) {
+Partition BisimPartition(const TripleGraph& g, RefinementStats* stats) {
   std::vector<NodeId> all(g.NumNodes());
   for (NodeId i = 0; i < g.NumNodes(); ++i) all[i] = i;
-  return BisimRefineFixpoint(g, LabelPartition(g), all, stats, options);
+  return BisimRefineFixpoint(g, LabelPartition(g), all, stats);
 }
 
 bool AreBisimilar(const TripleGraph& g, NodeId n, NodeId m) {

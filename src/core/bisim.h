@@ -19,8 +19,7 @@ namespace rdfalign {
 
 /// The bisimulation partition λ_Bisim of G (Proposition 1).
 Partition BisimPartition(const TripleGraph& g,
-                         RefinementStats* stats = nullptr,
-                         const RefinementOptions& options = {});
+                         RefinementStats* stats = nullptr);
 
 /// True iff n and m are bisimilar in G (same λ_Bisim color). Prefer
 /// computing the partition once when testing many pairs.

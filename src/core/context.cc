@@ -88,12 +88,10 @@ Partition ContextualRefineFixpoint(const TripleGraph& g, Partition initial,
                                    const std::vector<NodeId>& x,
                                    const MediationIndex& mediation,
                                    const std::vector<uint8_t>& predicate_only,
-                                   RefinementStats* stats,
-                                   const RefinementOptions& options) {
+                                   RefinementStats* stats) {
   return internal::RunWorklistFixpoint(
       g, initial, x,
-      {.mediation = &mediation, .predicate_only = &predicate_only}, options,
-      stats);
+      {.mediation = &mediation, .predicate_only = &predicate_only}, stats);
 }
 
 ContextualHybridInputs BuildContextualHybridInputs(const CombinedGraph& cg) {
@@ -115,12 +113,10 @@ ContextualHybridInputs BuildContextualHybridInputs(const CombinedGraph& cg) {
 }
 
 Partition PredicateAwareHybridPartition(const CombinedGraph& cg,
-                                        RefinementStats* stats,
-                                        const RefinementOptions& options) {
+                                        RefinementStats* stats) {
   ContextualHybridInputs in = BuildContextualHybridInputs(cg);
   return ContextualRefineFixpoint(cg.graph(), std::move(in.blanked), in.x,
-                                  in.mediation, in.predicate_only, stats,
-                                  options);
+                                  in.mediation, in.predicate_only, stats);
 }
 
 }  // namespace rdfalign

@@ -62,14 +62,12 @@ class MediationIndex {
 /// out-neighborhood signature, and nodes in X that are predicate-only URIs
 /// additionally carry their mediation signature. The worklist engine
 /// re-signs only dirty nodes, with dirtiness following both the
-/// out-neighborhood (TripleGraph::In) and the mediation index, and honors
-/// RefinementOptions::threads for parallel signing of wide rounds.
+/// out-neighborhood (TripleGraph::In) and the mediation index.
 Partition ContextualRefineFixpoint(const TripleGraph& g, Partition initial,
                                    const std::vector<NodeId>& x,
                                    const MediationIndex& mediation,
                                    const std::vector<uint8_t>& predicate_only,
-                                   RefinementStats* stats = nullptr,
-                                   const RefinementOptions& options = {});
+                                   RefinementStats* stats = nullptr);
 
 /// The prepared inputs of the predicate-aware hybrid alignment: the
 /// blanked base partition, the refinable set (unaligned non-literals plus
@@ -90,8 +88,7 @@ ContextualHybridInputs BuildContextualHybridInputs(const CombinedGraph& cg);
 /// HybridPartition except that unaligned predicate-only URIs are identified
 /// by what they *connect* instead of collapsing into one sink class.
 Partition PredicateAwareHybridPartition(const CombinedGraph& cg,
-                                        RefinementStats* stats = nullptr,
-                                        const RefinementOptions& options = {});
+                                        RefinementStats* stats = nullptr);
 
 }  // namespace rdfalign
 

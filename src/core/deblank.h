@@ -16,8 +16,7 @@ namespace rdfalign {
 
 /// Computes λ_Deblank over the combined graph.
 Partition DeblankPartition(const CombinedGraph& cg,
-                           RefinementStats* stats = nullptr,
-                           const RefinementOptions& options = {});
+                           RefinementStats* stats = nullptr);
 
 }  // namespace rdfalign
 

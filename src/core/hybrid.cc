@@ -6,8 +6,7 @@
 namespace rdfalign {
 
 Partition HybridPartitionFrom(const CombinedGraph& cg, const Partition& base,
-                              RefinementStats* stats,
-                              const RefinementOptions& options) {
+                              RefinementStats* stats) {
   // The refinable set is UN(base) plus every blank node. Including the
   // already-aligned blanks re-derives their deblank colors inside this run,
   // which realizes the paper's structured-color semantics: a previously
@@ -25,14 +24,12 @@ Partition HybridPartitionFrom(const CombinedGraph& cg, const Partition& base,
     }
   }
   Partition blanked = BlankColors(base, x);
-  return BisimRefineFixpoint(cg.graph(), std::move(blanked), x, stats,
-                             options);
+  return BisimRefineFixpoint(cg.graph(), std::move(blanked), x, stats);
 }
 
 Partition HybridPartition(const CombinedGraph& cg, RefinementStats* stats,
-                          const RefinementOptions& options) {
-  return HybridPartitionFrom(cg, DeblankPartition(cg, nullptr, options),
-                             stats, options);
+                          const RefinementOptions& /*options*/) {
+  return HybridPartitionFrom(cg, DeblankPartition(cg), stats);
 }
 
 }  // namespace rdfalign

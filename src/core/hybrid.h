@@ -21,7 +21,9 @@
 
 namespace rdfalign {
 
-/// Computes λ_Hybrid over the combined graph.
+/// Computes λ_Hybrid over the combined graph. The fixpoint signs on the
+/// calling thread, so `options` does not affect it; the parameter keeps
+/// callers that forward their alignment options compiling.
 Partition HybridPartition(const CombinedGraph& cg,
                           RefinementStats* stats = nullptr,
                           const RefinementOptions& options = {});
@@ -29,8 +31,7 @@ Partition HybridPartition(const CombinedGraph& cg,
 /// Computes λ_Hybrid starting from an arbitrary base partition (used by the
 /// equivalence property test and by callers that already computed Deblank).
 Partition HybridPartitionFrom(const CombinedGraph& cg, const Partition& base,
-                              RefinementStats* stats = nullptr,
-                              const RefinementOptions& options = {});
+                              RefinementStats* stats = nullptr);
 
 }  // namespace rdfalign
 

@@ -128,8 +128,10 @@ OverlapAlignResult OverlapAlign(const CombinedGraph& cg,
   OverlapAlignResult result;
 
   // Line 1: ξ0 = (λ_Hybrid, 0).
+  WallTimer refine_timer;
   WeightedPartition xi =
       MakeZeroWeighted(hybrid != nullptr ? *hybrid : HybridPartition(cg));
+  result.refine_ms = refine_timer.ElapsedMillis();
 
   // Lines 2-4: match unaligned literals by word sets + edit distance.
   WallTimer literal_index_timer;

@@ -49,8 +49,8 @@ struct OverlapAlignResult {
   std::vector<OverlapMatchStats> round_stats;
 
   // Wall-clock phase breakdown of this run, milliseconds (summed across
-  // rounds; feeds AlignmentOutcome::phases — the base λ_Hybrid time is
-  // not broken out and lands in the derived refine_ms there).
+  // rounds; feeds AlignmentOutcome::phases).
+  double refine_ms = 0;   ///< base λ_Hybrid fixpoint (ξ0)
   double enrich_ms = 0;   ///< Enrich + Propagate
   double index_ms = 0;    ///< characterizing sets + inverted-index builds
   double match_ms = 0;    ///< candidate probing + σ verification

@@ -45,8 +45,7 @@ WeightedPartition WeightedBisimRefineFixpoint(const TripleGraph& g,
                                               RefinementStats* stats) {
   // Colors do not depend on weights, so the color fixpoint can be computed
   // first; the weight iteration then runs to its own (least) fixpoint.
-  xi.partition = BisimRefineFixpoint(g, std::move(xi.partition), x, stats,
-                                     options.refinement);
+  xi.partition = BisimRefineFixpoint(g, std::move(xi.partition), x, stats);
   for (size_t iter = 0; iter < options.max_weight_iterations; ++iter) {
     double delta = ReweightStep(g, x, xi.weight);
     if (delta < options.epsilon) break;

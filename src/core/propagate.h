@@ -31,7 +31,8 @@ struct PropagateOptions {
   double epsilon = 1e-4;
   /// Safety cap on weight iterations after the partition stabilizes.
   size_t max_weight_iterations = 1000;
-  /// Engine selection for the color fixpoint.
+  /// Not read: the color fixpoint signs on the calling thread. Kept so
+  /// callers that forward their alignment options keep compiling.
   RefinementOptions refinement;
 };
 

@@ -6,9 +6,8 @@ namespace rdfalign {
 
 Partition BisimRefineFixpoint(const TripleGraph& g, Partition initial,
                               const std::vector<NodeId>& x,
-                              RefinementStats* stats,
-                              const RefinementOptions& options) {
-  return internal::RunWorklistFixpoint(g, initial, x, {}, options, stats);
+                              RefinementStats* stats) {
+  return internal::RunWorklistFixpoint(g, initial, x, {}, stats);
 }
 
 Partition BlankColors(const Partition& p, const std::vector<NodeId>& x) {
@@ -37,10 +36,9 @@ std::vector<uint8_t> BuildPredicateMask(
 Partition BisimRefineFixpointKeyed(const TripleGraph& g, Partition initial,
                                    const std::vector<NodeId>& x,
                                    const std::vector<uint8_t>& predicate_mask,
-                                   RefinementStats* stats,
-                                   const RefinementOptions& options) {
+                                   RefinementStats* stats) {
   return internal::RunWorklistFixpoint(
-      g, initial, x, {.predicate_mask = &predicate_mask}, options, stats);
+      g, initial, x, {.predicate_mask = &predicate_mask}, stats);
 }
 
 }  // namespace rdfalign

@@ -15,12 +15,10 @@
 // out-neighbor whose color changed in the previous round are re-signed;
 // every other node keeps its color with zero work. Signatures are consed
 // through a 64-bit hash into a shared arena with collision verification,
-// so steady-state rounds perform no per-node heap allocation. Large rounds
-// — the first round especially, which signs all of X — can be signed by a
-// worker pool (RefinementOptions::threads) with a deterministic merge that
-// keeps the partition bit-identical across thread counts. See
-// docs/refinement.md for the invariants; the full-rescan step the engine
-// replaced lives on as a test oracle in tests/oracle/.
+// so steady-state rounds perform no per-node heap allocation. Signing runs
+// on the calling thread. See docs/refinement.md for the invariants; the
+// full-rescan step the engine replaced lives on as a test oracle in
+// tests/oracle/.
 
 #ifndef RDFALIGN_CORE_REFINEMENT_H_
 #define RDFALIGN_CORE_REFINEMENT_H_
@@ -32,18 +30,13 @@
 
 namespace rdfalign {
 
-/// Worker settings of the fixpoint functions.
+/// Worker settings of an alignment run (AlignerOptions::refinement).
 struct RefinementOptions {
-  /// Signing workers for wide refinement rounds. 1 = sequential (default);
-  /// 0 = one worker per hardware thread.
-  /// Any setting yields a bit-identical partition: workers sign into
-  /// thread-local arenas and a single deterministic merge conses the
-  /// signatures in worklist order.
+  /// Pool lanes Aligner uses for the merge, the alignment statistics and
+  /// the overlap kernels (OverlapAlignOptions::threads); 0 = one lane per
+  /// hardware thread. The refinement fixpoints themselves always sign on
+  /// the calling thread. Any setting yields bit-identical results.
   size_t threads = 1;
-  /// Minimum worklist width before the worker pool engages; narrower
-  /// rounds are signed inline (thread spawn would dominate). Tests lower
-  /// this to force the parallel path on small graphs.
-  size_t parallel_min_round = 4096;
 };
 
 /// Telemetry of a refinement run.
@@ -57,11 +50,6 @@ struct RefinementStats {
   /// re-signing, including signatures deduplicated by the cons table — a
   /// measure of signing work, not of cons-table memory).
   size_t signature_bytes = 0;
-  /// Wall-clock of the first refinement round, the one that signs all of X
-  /// (the parallel-signing target).
-  double first_round_ms = 0.0;
-  /// Resolved signing-worker count (>= 1).
-  size_t threads_used = 0;
 
   /// Sum of dirty_per_iteration: total node re-signings performed.
   size_t TotalDirty() const {
@@ -76,8 +64,7 @@ struct RefinementStats {
 /// their class. X entries must be valid node ids of `g`.
 Partition BisimRefineFixpoint(const TripleGraph& g, Partition initial,
                               const std::vector<NodeId>& x,
-                              RefinementStats* stats = nullptr,
-                              const RefinementOptions& options = {});
+                              RefinementStats* stats = nullptr);
 
 /// Blank(λ, X): resets the color of every node in X to one shared fresh
 /// "blank" color (eq. 3) — the precursor of the hybrid alignment and of
@@ -105,8 +92,7 @@ std::vector<uint8_t> BuildPredicateMask(
 Partition BisimRefineFixpointKeyed(const TripleGraph& g, Partition initial,
                                    const std::vector<NodeId>& x,
                                    const std::vector<uint8_t>& predicate_mask,
-                                   RefinementStats* stats = nullptr,
-                                   const RefinementOptions& options = {});
+                                   RefinementStats* stats = nullptr);
 
 }  // namespace rdfalign
 

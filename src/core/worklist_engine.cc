@@ -3,17 +3,10 @@
 namespace rdfalign {
 namespace internal {
 
-size_t ResolveThreads(size_t requested) {
-  return rdfalign::ResolveThreads(requested);
-}
-
 Partition RunWorklistFixpoint(const TripleGraph& g, const Partition& initial,
                               const std::vector<NodeId>& x,
-                              WorklistConfig config,
-                              const RefinementOptions& options,
+                              const WorklistConfig& config,
                               RefinementStats* stats) {
-  config.threads = ResolveThreads(options.threads);
-  config.parallel_min_round = options.parallel_min_round;
   RefinementStats local;
   local.initial_classes = initial.NumColors();
   WorklistEngine<TripleGraph> engine(g, initial, x, config);

@@ -3,7 +3,7 @@
 // since the streaming subsystem landed — behind the continuous alignment
 // maintenance of src/stream/.
 //
-// The engine generalizes the PR-1 worklist algorithm along three axes:
+// The engine generalizes the PR-1 worklist algorithm along two axes:
 //
 //  * **Signature shape.** A node's signature is [own color, out-pairs...]
 //    as before, optionally restricted by a predicate mask (keyed
@@ -14,14 +14,6 @@
 //    in-neighbors (Graph::In) and, when mediation is configured, the
 //    predicate-only nodes mediating it (MediationIndex::
 //    MediatingPredicates).
-//
-//  * **Parallel signing.** Rounds at least `parallel_min_round` nodes wide
-//    are signed by `threads` workers into thread-local arenas; a
-//    deterministic sequential merge then conses the prebuilt signatures in
-//    worklist order — the exact order the sequential path uses — so the
-//    resulting partition is bit-identical for every thread count. Signing
-//    only reads shared state (colors, graph, indexes); all writes happen in
-//    the merge. See docs/refinement.md.
 //
 //  * **Graph abstraction + re-entry.** The engine is a template over the
 //    graph type: it needs only `NumNodes()`, `Out(n)` (a range of
@@ -55,8 +47,6 @@
 #include "core/refinement.h"
 #include "rdf/graph.h"
 #include "util/hash.h"
-#include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace rdfalign {
 namespace internal {
@@ -77,15 +67,7 @@ struct WorklistConfig {
   /// and dirtiness additionally follows MediatingPredicates().
   const MediationIndex* mediation = nullptr;
   const std::vector<uint8_t>* predicate_only = nullptr;
-  /// Resolved signing-worker count (>= 1); see ResolveThreads().
-  size_t threads = 1;
-  /// Minimum worklist width before the worker pool engages.
-  size_t parallel_min_round = 4096;
 };
-
-/// Maps RefinementOptions::threads to a concrete worker count: 0 becomes
-/// one worker per hardware thread, anything else is used as given (min 1).
-size_t ResolveThreads(size_t requested);
 
 // Colors live in a monotonically growing (non-dense) id space; ids are never
 // reused, so a color identifies one class for the whole engine lifetime.
@@ -151,26 +133,21 @@ class WorklistEngine {
   /// no-op (counted as one vacuous iteration in `stats`).
   void RunInPlace(RefinementStats* stats) {
     size_t iterations = 0;
-    double first_round_ms = 0;
     const size_t hard_cap = g_.NumNodes() + 2;
     while (!dirty_.empty() && iterations < hard_cap) {
       ++iterations;
       if (stats != nullptr) {
         stats->dirty_per_iteration.push_back(dirty_.size());
       }
-      WallTimer round_timer;
       SignDirtyNodes();
       AssignColors();
       InstallAndPropagate();
-      if (iterations == 1) first_round_ms = round_timer.ElapsedMillis();
     }
     if (stats != nullptr) {
       // An empty worklist still counts as one (vacuous) stabilizing step,
       // matching the rescan oracle's accounting.
       stats->iterations = iterations == 0 ? 1 : iterations;
       stats->signature_bytes = signature_bytes_;
-      stats->first_round_ms = first_round_ms;
-      stats->threads_used = cfg_.threads;
     }
   }
 
@@ -251,27 +228,14 @@ class WorklistEngine {
     ColorId new_color;
   };
 
-  // Per-worker output of a parallel signing pass: the signatures of one
-  // contiguous worklist chunk, concatenated, plus per-node lengths and
-  // hashes. Workers only ever touch their own slab.
-  struct WorkerSlab {
-    std::vector<uint32_t> words;
-    std::vector<uint32_t> lens;
-    std::vector<uint64_t> hashes;
-    size_t signature_bytes = 0;
-    // Scratch reused across the chunk's nodes.
-    std::vector<uint64_t> pair_scratch;
-    std::vector<uint32_t> sig_scratch;
-  };
-
-  // Builds the signature of `node` w.r.t. the current colors into `sig`:
+  // Builds the signature of `node` w.r.t. the current colors into
+  // `sig_buf_` (`pairs_` is scratch):
   // [own color, (hi,lo) of each distinct out-pair, ascending], plus — for
   // predicate-only nodes under contextual refinement — a mediation section
   // [separator, (hi,lo) of each distinct (λ(s), λ(o)) mediated pair].
-  // Reads only shared immutable round state, so it is safe to run from the
-  // signing workers.
-  void BuildSignatureInto(NodeId node, std::vector<uint64_t>& pairs,
-                          std::vector<uint32_t>& sig) const {
+  void BuildSignature(NodeId node) {
+    std::vector<uint64_t>& pairs = pairs_;
+    std::vector<uint32_t>& sig = sig_buf_;
     pairs.clear();
     for (const PredicateObject& po : g_.Out(node)) {
       if (cfg_.predicate_mask != nullptr && !(*cfg_.predicate_mask)[po.p]) {
@@ -344,71 +308,16 @@ class WorklistEngine {
     groups_.clear();
     round_arena_.clear();
     group_of_.resize(dirty_.size());
-    if (cfg_.threads > 1 && dirty_.size() >= cfg_.parallel_min_round) {
-      SignDirtyNodesParallel(cap - 1);
-      return;
-    }
     for (size_t i = 0; i < dirty_.size(); ++i) {
       const NodeId node = dirty_[i];
-      BuildSignatureInto(node, pairs_, sig_buf_);
+      BuildSignature(node);
       signature_bytes_ += sig_buf_.size() * sizeof(uint32_t);
       const uint64_t hash = HashU32Span(sig_buf_.data(), sig_buf_.size());
       group_of_[i] =
           ConsGroup(sig_buf_.data(), static_cast<uint32_t>(sig_buf_.size()),
                     hash, cap - 1);
-      ++class_dirty_[node_color(i)];
+      ++class_dirty_[colors_[node]];
     }
-  }
-
-  // Parallel signing: contiguous worklist chunks are signed concurrently
-  // into per-worker slabs (pure reads of shared state, private writes),
-  // then a single thread conses the prebuilt signatures in ascending
-  // worklist order — exactly the sequential consing order, so group ids,
-  // fresh-color allocation order, and hence the final partition are
-  // bit-identical to a 1-thread run regardless of scheduling.
-  void SignDirtyNodesParallel(size_t table_mask) {
-    const size_t workers =
-        std::min(cfg_.threads, dirty_.size());  // never an empty chunk
-    slabs_.resize(workers);
-    const size_t per = (dirty_.size() + workers - 1) / workers;
-    // One slab per chunk, same contiguous chunking as the old per-call
-    // std::thread spawn — only the execution moved to the shared pool, so
-    // short incremental rounds stop paying a thread create/join each.
-    ThreadPool::Instance().Run(workers, workers, [this, per](size_t w) {
-      WorkerSlab& slab = slabs_[w];
-      slab.words.clear();
-      slab.lens.clear();
-      slab.hashes.clear();
-      slab.signature_bytes = 0;
-      const size_t begin = std::min(dirty_.size(), w * per);
-      const size_t end = std::min(dirty_.size(), begin + per);
-      for (size_t i = begin; i < end; ++i) {
-        BuildSignatureInto(dirty_[i], slab.pair_scratch, slab.sig_scratch);
-        slab.signature_bytes += slab.sig_scratch.size() * sizeof(uint32_t);
-        slab.hashes.push_back(
-            HashU32Span(slab.sig_scratch.data(), slab.sig_scratch.size()));
-        slab.lens.push_back(static_cast<uint32_t>(slab.sig_scratch.size()));
-        slab.words.insert(slab.words.end(), slab.sig_scratch.begin(),
-                          slab.sig_scratch.end());
-      }
-    });
-    size_t i = 0;
-    for (size_t w = 0; w < workers; ++w) {
-      const WorkerSlab& slab = slabs_[w];
-      size_t offset = 0;
-      for (size_t k = 0; k < slab.lens.size(); ++k, ++i) {
-        group_of_[i] = ConsGroup(slab.words.data() + offset, slab.lens[k],
-                                 slab.hashes[k], table_mask);
-        offset += slab.lens[k];
-        ++class_dirty_[node_color(i)];
-      }
-      signature_bytes_ += slab.signature_bytes;
-    }
-    assert(i == dirty_.size());
-  }
-
-  ColorId node_color(size_t dirty_index) const {
-    return colors_[dirty_[dirty_index]];
   }
 
   // Copies a group's signature into the persistent store arena, with the
@@ -532,9 +441,8 @@ class WorklistEngine {
   std::vector<ColorId> touched_;       // classes with dirty members
   std::vector<uint32_t> class_head_;   // per-color group chain head
   std::vector<uint32_t> class_dirty_;  // per-color dirty member count
-  std::vector<WorkerSlab> slabs_;      // per-worker signing output
 
-  // Per-node scratch for the sequential path.
+  // Per-node signing scratch (BuildSignature).
   std::vector<uint64_t> pairs_;
   std::vector<uint32_t> sig_buf_;
 
@@ -543,12 +451,10 @@ class WorklistEngine {
 
 /// Runs the worklist fixpoint to stabilization and returns the refined
 /// partition — the one engine behind every batch fixpoint. `config`
-/// selects the signature shape; its worker settings are taken from
-/// `options`. `x` entries must be valid node ids of `g`.
+/// selects the signature shape. `x` entries must be valid node ids of `g`.
 Partition RunWorklistFixpoint(const TripleGraph& g, const Partition& initial,
                               const std::vector<NodeId>& x,
-                              WorklistConfig config,
-                              const RefinementOptions& options,
+                              const WorklistConfig& config,
                               RefinementStats* stats);
 
 }  // namespace internal

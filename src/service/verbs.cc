@@ -123,7 +123,7 @@ Status RunBuild(const BuildRequest& req, BuildResponse* resp) {
 std::string BuildToJson(const BuildResponse& r) {
   JsonBuf b;
   b.Appendf("{\n");
-  b.Appendf("  \"output\": \"%s\",\n", r.output.c_str());
+  b.Appendf("  \"output\": \"%s\",\n", JsonEscape(r.output).c_str());
   b.Appendf("  \"nodes\": %zu,\n", r.nodes);
   b.Appendf("  \"triples\": %zu,\n", r.triples);
   b.Appendf("  \"threads\": %zu,\n", r.threads);
@@ -217,7 +217,7 @@ std::string InfoToJson(const InfoResponse& r) {
   if (r.kind == "delta") {
     const auto& info = r.delta;
     b.Appendf("{\n");
-    b.Appendf("  \"path\": \"%s\",\n", r.path.c_str());
+    b.Appendf("  \"path\": \"%s\",\n", JsonEscape(r.path).c_str());
     b.Appendf("  \"kind\": \"delta\",\n");
     b.Appendf("  \"version\": %u,\n", info.version);
     b.Appendf(
@@ -253,7 +253,7 @@ std::string InfoToJson(const InfoResponse& r) {
   if (r.kind == "archive") {
     const auto& info = r.archive;
     b.Appendf("{\n");
-    b.Appendf("  \"path\": \"%s\",\n", r.path.c_str());
+    b.Appendf("  \"path\": \"%s\",\n", JsonEscape(r.path).c_str());
     b.Appendf("  \"kind\": \"archive\",\n");
     b.Appendf("  \"version\": %u,\n", info.version);
     b.Appendf("  \"versions\": %llu,\n",
@@ -281,7 +281,7 @@ std::string InfoToJson(const InfoResponse& r) {
   if (r.kind == "update") {
     const auto& info = r.update;
     b.Appendf("{\n");
-    b.Appendf("  \"path\": \"%s\",\n", r.path.c_str());
+    b.Appendf("  \"path\": \"%s\",\n", JsonEscape(r.path).c_str());
     b.Appendf("  \"kind\": \"update\",\n");
     b.Appendf("  \"sequence\": %llu,\n", (unsigned long long)info.sequence);
     b.Appendf("  \"refs\": %zu,\n", info.refs);
@@ -296,7 +296,7 @@ std::string InfoToJson(const InfoResponse& r) {
   }
   const auto& info = r.snapshot;
   b.Appendf("{\n");
-  b.Appendf("  \"path\": \"%s\",\n", r.path.c_str());
+  b.Appendf("  \"path\": \"%s\",\n", JsonEscape(r.path).c_str());
   b.Appendf("  \"version\": %u,\n", info.version);
   b.Appendf("  \"nodes\": %llu,\n", (unsigned long long)info.num_nodes);
   b.Appendf("  \"triples\": %llu,\n", (unsigned long long)info.num_triples);
@@ -481,12 +481,12 @@ std::string AlignToJson(const AlignResponse& r) {
   b.Appendf(
       "  \"a\": {\"path\": \"%s\", \"kind\": \"%s\", "
       "\"nodes\": %zu, \"triples\": %zu, \"load_ms\": %.2f},\n",
-      r.path_a.c_str(), r.kind_a.c_str(), r.nodes_a, r.triples_a,
+      JsonEscape(r.path_a).c_str(), r.kind_a.c_str(), r.nodes_a, r.triples_a,
       r.load_a_ms);
   b.Appendf(
       "  \"b\": {\"path\": \"%s\", \"kind\": \"%s\", "
       "\"nodes\": %zu, \"triples\": %zu, \"load_ms\": %.2f},\n",
-      r.path_b.c_str(), r.kind_b.c_str(), r.nodes_b, r.triples_b,
+      JsonEscape(r.path_b).c_str(), r.kind_b.c_str(), r.nodes_b, r.triples_b,
       r.load_b_ms);
   b.Appendf("  \"align_seconds\": %.4f,\n", r.seconds);
   b.Appendf(
@@ -620,14 +620,14 @@ std::string DiffToJson(const DiffResponse& r) {
   b.Appendf(
       "  \"base\": {\"path\": \"%s\", \"kind\": \"%s\", "
       "\"nodes\": %zu, \"triples\": %zu},\n",
-      r.path_base.c_str(), r.kind_base.c_str(), r.nodes_base,
+      JsonEscape(r.path_base).c_str(), r.kind_base.c_str(), r.nodes_base,
       r.triples_base);
   b.Appendf(
       "  \"next\": {\"path\": \"%s\", \"kind\": \"%s\", "
       "\"nodes\": %zu, \"triples\": %zu},\n",
-      r.path_next.c_str(), r.kind_next.c_str(), r.nodes_next,
+      JsonEscape(r.path_next).c_str(), r.kind_next.c_str(), r.nodes_next,
       r.triples_next);
-  b.Appendf("  \"delta\": \"%s\",\n", r.path_out.c_str());
+  b.Appendf("  \"delta\": \"%s\",\n", JsonEscape(r.path_out).c_str());
   b.Appendf("  \"kept_triples\": %llu,\n",
             (unsigned long long)r.stats.kept_triples);
   b.Appendf("  \"removed_triples\": %llu,\n",
@@ -736,10 +736,10 @@ std::string PatchToJson(const PatchResponse& r) {
   b.Appendf(
       "  \"base\": {\"path\": \"%s\", \"kind\": \"%s\", "
       "\"nodes\": %zu, \"triples\": %zu},\n",
-      r.path_base.c_str(), r.kind_base.c_str(), r.nodes_base,
+      JsonEscape(r.path_base).c_str(), r.kind_base.c_str(), r.nodes_base,
       r.triples_base);
-  b.Appendf("  \"delta\": \"%s\",\n", r.path_delta.c_str());
-  b.Appendf("  \"out\": \"%s\",\n", r.path_out.c_str());
+  b.Appendf("  \"delta\": \"%s\",\n", JsonEscape(r.path_delta).c_str());
+  b.Appendf("  \"out\": \"%s\",\n", JsonEscape(r.path_out).c_str());
   b.Appendf("  \"nodes\": %zu,\n", r.nodes);
   b.Appendf("  \"triples\": %zu,\n", r.triples);
   b.Appendf("  \"kept_triples\": %llu,\n",
@@ -827,7 +827,7 @@ Status RunArchive(const ArchiveRequest& req, ArchiveResponse* resp) {
 std::string ArchiveToJson(const ArchiveResponse& r) {
   JsonBuf b;
   b.Appendf("{\n");
-  b.Appendf("  \"archive\": \"%s\",\n", r.path_out.c_str());
+  b.Appendf("  \"archive\": \"%s\",\n", JsonEscape(r.path_out).c_str());
   b.Appendf("  \"method\": \"%s\",\n",
             std::string(AlignMethodToString(r.method)).c_str());
   b.Appendf("  \"threads\": %zu,\n", r.threads);
@@ -916,13 +916,13 @@ Status RunGen(const GenRequest& req, GenResponse* resp) {
 std::string GenToJson(const GenResponse& r) {
   JsonBuf b;
   b.Appendf("{\n");
-  b.Appendf("  \"prefix\": \"%s\",\n", r.prefix.c_str());
+  b.Appendf("  \"prefix\": \"%s\",\n", JsonEscape(r.prefix).c_str());
   b.Appendf("  \"versions\": %zu,\n", r.files.size());
   b.Appendf("  \"files\": [\n");
   for (size_t i = 0; i < r.files.size(); ++i) {
     const GenFileInfo& f = r.files[i];
     b.Appendf("    {\"path\": \"%s\", \"nodes\": %zu, \"triples\": %zu}%s\n",
-              f.path.c_str(), f.nodes, f.triples,
+              JsonEscape(f.path).c_str(), f.nodes, f.triples,
               i + 1 < r.files.size() ? "," : "");
   }
   b.Appendf("  ]\n}\n");
@@ -977,7 +977,7 @@ Status RunCache(const CacheRequest& req, CacheResponse* resp) {
 std::string CacheToJson(const CacheResponse& r) {
   JsonBuf b;
   b.Appendf("{\n");
-  b.Appendf("  \"action\": \"%s\",\n", r.action.c_str());
+  b.Appendf("  \"action\": \"%s\",\n", JsonEscape(r.action).c_str());
   if (r.action == "clear") {
     b.Appendf("  \"dropped_entries\": %llu,\n",
               (unsigned long long)r.dropped_entries);
@@ -1005,7 +1005,7 @@ std::string CacheToJson(const CacheResponse& r) {
           (unsigned long long)e.fingerprint,
           (unsigned long long)e.resident_bytes,
           (unsigned long long)e.external_refs, (unsigned long long)e.nodes,
-          (unsigned long long)e.triples, e.path.c_str(),
+          (unsigned long long)e.triples, JsonEscape(e.path).c_str(),
           i + 1 < r.entries.size() ? "," : "");
     }
     b.Appendf("  ]\n");
@@ -1122,14 +1122,14 @@ std::string UpdatesToJson(const UpdatesResponse& r) {
   b.Appendf(
       "  \"base\": {\"path\": \"%s\", \"kind\": \"%s\", "
       "\"nodes\": %zu, \"triples\": %zu},\n",
-      r.path_base.c_str(), r.kind_base.c_str(), r.nodes_base,
+      JsonEscape(r.path_base).c_str(), r.kind_base.c_str(), r.nodes_base,
       r.triples_base);
   b.Appendf(
       "  \"next\": {\"path\": \"%s\", \"kind\": \"%s\", "
       "\"nodes\": %zu, \"triples\": %zu},\n",
-      r.path_next.c_str(), r.kind_next.c_str(), r.nodes_next,
+      JsonEscape(r.path_next).c_str(), r.kind_next.c_str(), r.nodes_next,
       r.triples_next);
-  b.Appendf("  \"fragment\": \"%s\",\n", r.path_out.c_str());
+  b.Appendf("  \"fragment\": \"%s\",\n", JsonEscape(r.path_out).c_str());
   b.Appendf("  \"sequence\": %llu,\n", (unsigned long long)r.sequence);
   b.Appendf("  \"refs\": %llu,\n", (unsigned long long)r.refs);
   b.Appendf("  \"new_nodes\": %llu,\n", (unsigned long long)r.new_nodes);

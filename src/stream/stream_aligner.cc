@@ -64,10 +64,8 @@ Result<std::unique_ptr<StreamAligner>> StreamAligner::Open(
   std::vector<NodeId> x;
   if (deblank) x = base.NodesOfKind(TermKind::kBlank);
 
-  internal::WorklistConfig cfg;
-  cfg.threads = threads;
-  cfg.parallel_min_round = options.parallel_min_round;
-  s->engine_ = std::make_unique<Engine>(*s->graph_, initial, x, cfg);
+  s->engine_ = std::make_unique<Engine>(*s->graph_, initial, x,
+                                       internal::WorklistConfig{});
   s->engine_->RunInPlace(&s->open_stats_);
   s->open_stats_.initial_classes = initial.NumColors();
 
@@ -347,10 +345,7 @@ Result<StreamCheckResult> StreamAligner::CheckBatchEquivalence(
       CombinedGraph::Build(batch_source, batch_target, options_.threads));
   Partition batch_partition;
   if (options_.method == AlignMethod::kDeblank) {
-    RefinementOptions ropt;
-    ropt.threads = options_.threads;
-    ropt.parallel_min_round = options_.parallel_min_round;
-    batch_partition = DeblankPartition(bcg, nullptr, ropt);
+    batch_partition = DeblankPartition(bcg);
   } else {
     batch_partition = TrivialPartition(bcg.graph());
   }

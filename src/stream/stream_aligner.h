@@ -93,9 +93,9 @@ struct StreamBatchResult {
 
 struct StreamOptions {
   AlignMethod method = AlignMethod::kDeblank;
-  /// Signing workers for resumed refinement rounds (0 = hardware threads).
+  /// Pool lanes for building the overlay graph and the batch check's
+  /// combined graph (0 = hardware threads). Refinement signs serially.
   size_t threads = 1;
-  size_t parallel_min_round = 4096;
 };
 
 /// Summary of a batch-equivalence check.

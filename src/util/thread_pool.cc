@@ -177,7 +177,8 @@ void ParallelChunks(size_t n, size_t threads, size_t grain,
   // Lanes beyond the hardware only add scheduling overhead to a chunked
   // loop; the decomposition (and thus the result) never depends on the
   // lane count, so the clamp is invisible except in wall clock. Raw
-  // ThreadPool::Run stays unclamped for callers that want real lanes.
+  // ThreadPool::Run stays unclamped for the pool tests, which want real
+  // lanes.
   threads = EffectiveLanes(threads);
   if (threads <= 1 || chunks == 1) {
     for (size_t c = 0; c < chunks; ++c) {

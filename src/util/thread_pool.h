@@ -17,8 +17,8 @@
 // The pool is a lazy singleton. Workers are spawned on demand up to the
 // requested lane count (so `--threads 8` exercises eight real lanes even
 // on a single-core box, matching the per-call spawning it replaces) and
-// persist for the life of the process — short incremental refinement
-// rounds no longer pay a thread create/join per round. Re-entrant or
+// persist for the life of the process, so short parallel regions do not
+// pay a thread create/join each. Re-entrant or
 // concurrent Run calls degrade to inline serial execution of the caller's
 // chunks; they never deadlock and never change results.
 
@@ -45,9 +45,9 @@ size_t ResolveThreads(size_t requested);
 /// Lanes that can make real progress: min(requested, hardware). Chunk
 /// plans never see the lane count, so kernels gating their parallel
 /// layout on this produce the same bytes — it only spares a single-core
-/// box the scheduling and scratch cost of lanes that cannot help. Raw
-/// ThreadPool::Run is deliberately not clamped (the worklist engine and
-/// the pool tests field every requested lane).
+/// box the scheduling and scratch cost of lanes that cannot help. Every
+/// kernel clamps through this before calling ThreadPool::Run; raw Run
+/// stays unclamped so the pool tests field every requested lane.
 size_t EffectiveLanes(size_t threads);
 
 /// The process-wide pool. All parallel kernels share it via Instance().

@@ -64,6 +64,30 @@ TEST(AlignerTest, TimingAndStatsAreFilled) {
   EXPECT_GT(outcome->node_stats.aligned_classes, 0u);
 }
 
+// Every phase is measured, not derived: each is non-negative, and the
+// phases inside the method core fit in its wall time.
+TEST(AlignerTest, PhaseTimingsFitTheMethodWallTime) {
+  auto [g1, g2] = testing::Fig3Graphs();
+  for (AlignMethod m : {AlignMethod::kTrivial, AlignMethod::kDeblank,
+                        AlignMethod::kHybrid, AlignMethod::kHybridContextual,
+                        AlignMethod::kOverlap}) {
+    AlignerOptions options;
+    options.method = m;
+    auto outcome = Aligner(options).Align(g1, g2);
+    ASSERT_TRUE(outcome.ok()) << AlignMethodToString(m);
+    const AlignPhaseTimings& t = outcome->phases;
+    for (double ms : {t.merge_ms, t.refine_ms, t.enrich_ms,
+                      t.overlap_index_ms, t.match_ms, t.stats_ms}) {
+      EXPECT_GE(ms, 0.0) << AlignMethodToString(m);
+    }
+    // The slack absorbs double rounding of the separately converted
+    // nanosecond intervals.
+    EXPECT_LE(t.refine_ms + t.enrich_ms + t.overlap_index_ms + t.match_ms,
+              1000.0 * outcome->seconds + 1e-6)
+        << AlignMethodToString(m);
+  }
+}
+
 TEST(AlignerTest, ContextualAtLeastMatchesHybridRatioOnFig3) {
   auto [g1, g2] = testing::Fig3Graphs();
   AlignerOptions hybrid{.method = AlignMethod::kHybrid};

@@ -453,8 +453,8 @@ TEST(StreamTest, TrivialMethodChainsMatchBatchAlignment) {
 }
 
 // Thread count must not change anything the session reports — same pairs,
-// same deltas, same class count at every step. (Also the TSan target: the
-// sanitizer job runs *Stream* with threads > 1.)
+// same deltas, same class count at every step. (Also a TSan target: the
+// overlay graph and the batch check's merge run on the pool.)
 TEST(StreamTest, ThreadCountIsBitIdentical) {
   for (uint64_t seed = 40; seed < 44; ++seed) {
     testing::RandomGraphOptions big;
@@ -468,7 +468,6 @@ TEST(StreamTest, ThreadCountIsBitIdentical) {
     serial.threads = 1;
     StreamOptions parallel;
     parallel.threads = 4;
-    parallel.parallel_min_round = 1;  // force the pool on tiny rounds
     std::unique_ptr<StreamAligner> a = OpenOrDie(chain[0], chain[0], serial);
     std::unique_ptr<StreamAligner> b =
         OpenOrDie(chain[0], chain[0], parallel);

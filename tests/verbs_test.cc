@@ -22,6 +22,7 @@
 #include "core/partition.h"
 #include "rdf/merge.h"
 #include "service/graph_source.h"
+#include "service/json.h"
 #include "service/snapshot_cache.h"
 #include "store/snapshot.h"
 
@@ -127,6 +128,40 @@ TEST(VerbsTest, FullPipelineThroughExecuteVerb) {
 
   RemoveChain(prefix);
   for (const std::string& p : {delta, replayed, archive}) {
+    std::remove(p.c_str());
+  }
+}
+
+// Paths come from the request, so the JSON bodies must escape them: a
+// quote or backslash in a file name must not end or corrupt the string.
+TEST(VerbsTest, JsonBodiesEscapeRequestPaths) {
+  const std::string prefix = ScratchPrefix() + "_q\"b\\s";
+  const auto [v1, v2] = MakeVersionPair(prefix);
+  const std::string built = prefix + "_built.snap";
+  const std::string delta = prefix + ".delta";
+  const std::string replayed = prefix + "_replay.snap";
+  auto expect_path = [](const VerbResult& r, const std::string& key,
+                        const std::string& path) {
+    EXPECT_EQ(r.exit_code, 0) << r.error;
+    EXPECT_NE(r.output.find("\"" + JsonEscape(path) + "\""),
+              std::string::npos)
+        << r.output;
+    EXPECT_EQ(JsonFindString(r.output, key, ""), path) << r.output;
+  };
+
+  expect_path(RunVerb({"build", prefix + "1.nt", built, "--json"}), "output",
+              built);
+  expect_path(RunVerb({"info", v1, "--json"}), "path", v1);
+  expect_path(RunVerb({"align", v1, v2, "--json"}), "path", v1);
+  const VerbResult diff = RunVerb({"diff", v1, v2, delta, "--json"});
+  expect_path(diff, "path", v1);
+  expect_path(diff, "delta", delta);
+  const VerbResult patch = RunVerb({"patch", v1, delta, replayed, "--json"});
+  expect_path(patch, "delta", delta);
+  expect_path(patch, "out", replayed);
+
+  RemoveChain(prefix);
+  for (const std::string& p : {built, delta, replayed}) {
     std::remove(p.c_str());
   }
 }
