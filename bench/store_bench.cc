@@ -12,12 +12,13 @@
 //             file; mmap saves the copy, not the read — see
 //             store/snapshot.h)
 //
-// Dict part (--mode=dict or all): the same graph saved with the raw
-// version-1 dictionary layout (--no-dict-compress) and the front-coded
-// version-2 default, comparing dictionary-section bytes, whole-file
-// bytes, load time, and intern throughput — gated on both loads being
-// bit-identical to the source graph and on each mode's save -> load ->
-// resave reproducing its file byte for byte.
+// Dict part (--mode=dict or all): the graph's front-coded (version-2)
+// dictionary sections against the size the raw version-1 layout would
+// take, (terms + 1) x 8 offset bytes plus the whole terms (no writer emits
+// version 1 any more, so that size is computed, not measured), plus the
+// front-coded load time and intern throughput — gated on the load being
+// bit-identical to the source graph and on save -> load -> resave
+// reproducing the file byte for byte.
 //
 // Delta part (--mode=delta or all): a --versions-long category chain is
 // materialized three ways — reparsing every version, loading one full
@@ -153,16 +154,14 @@ struct DictPointResult {
   size_t nodes = 0;
   size_t edges = 0;
   size_t terms = 0;
-  uint64_t raw_file_bytes = 0;  ///< --no-dict-compress (version-1) snapshot
   uint64_t fc_file_bytes = 0;   ///< front-coded (version-2) snapshot
-  uint64_t raw_dict_bytes = 0;  ///< term_offsets + term_blob sections
+  uint64_t raw_dict_bytes = 0;  ///< version-1 term_offsets + term_blob,
+                                ///< computed from the terms
   uint64_t fc_dict_bytes = 0;   ///< + term_prefix_lens section
-  double raw_load_ms = 0;
   double fc_load_ms = 0;
-  double raw_intern_mtps = 0;  ///< interned terms / s, millions
-  double fc_intern_mtps = 0;
-  bool equal = false;      ///< both loads bit-identical to the source graph
-  bool roundtrip = false;  ///< save -> load -> resave byte-identical, per mode
+  double fc_intern_mtps = 0;  ///< interned terms / s, millions
+  bool equal = false;      ///< the load is bit-identical to the source graph
+  bool roundtrip = false;  ///< save -> load -> resave byte-identical
 };
 
 uint64_t DictSectionBytes(const store::SnapshotInfo& info) {
@@ -197,25 +196,29 @@ bool FilesIdentical(const std::string& a, const std::string& b) {
   return same;
 }
 
-/// One front-coded vs raw dictionary point: bytes on disk (whole file and
-/// dictionary sections alone), load time, and intern throughput, gated on
-/// both loads being bit-identical to the source graph and on each mode's
-/// save -> load -> resave reproducing its bytes exactly.
+/// Size of the raw version-1 dictionary sections of a snapshot holding
+/// exactly `dict`'s terms: (terms + 1) x u64 offsets plus the whole terms.
+uint64_t RawDictBytes(const Dictionary& dict) {
+  uint64_t bytes = (dict.size() + 1) * sizeof(uint64_t);
+  for (LexId id = 0; id < dict.size(); ++id) bytes += dict.Get(id).size();
+  return bytes;
+}
+
+/// One front-coded dictionary point: bytes on disk (whole file and
+/// dictionary sections alone, against the computed raw size), load time,
+/// and intern throughput, gated on the load being bit-identical to the
+/// source graph and on save -> load -> resave reproducing its bytes.
 bool RunDictPoint(double scale_point, uint64_t seed, size_t runs,
                   const std::string& tmp_prefix, DictPointResult* out) {
   gen::CategoryChain chain = gen::CategoryChain::Generate(
       gen::CategoryOptions::FromScale(scale_point, /*versions=*/1, seed));
   const TripleGraph& g = chain.Version(0);
 
-  const std::string raw_path = tmp_prefix + "_raw.snap";
   const std::string fc_path = tmp_prefix + "_fc.snap";
   const std::string resave_path = tmp_prefix + "_resave.snap";
   DictPointResult r;
   const bool point_ok = [&]() -> bool {
-    store::StoreWriteOptions raw_opts;
-    raw_opts.compress_dict = false;
-    if (!store::WriteSnapshot(g, raw_path, raw_opts).ok() ||
-        !store::WriteSnapshot(g, fc_path).ok()) {
+    if (!store::WriteSnapshot(g, fc_path).ok()) {
       std::fprintf(stderr, "cannot write dict bench inputs under %s\n",
                    tmp_prefix.c_str());
       return false;
@@ -225,57 +228,38 @@ bool RunDictPoint(double scale_point, uint64_t seed, size_t runs,
     r.nodes = g.NumNodes();
     r.edges = g.NumEdges();
     r.terms = g.dict().size();
-    r.raw_file_bytes = std::filesystem::file_size(raw_path);
     r.fc_file_bytes = std::filesystem::file_size(fc_path);
-    auto raw_info = store::ReadSnapshotInfo(raw_path);
     auto fc_info = store::ReadSnapshotInfo(fc_path);
-    if (!raw_info.ok() || !fc_info.ok()) return false;
-    r.raw_dict_bytes = DictSectionBytes(*raw_info);
+    if (!fc_info.ok()) return false;
     r.fc_dict_bytes = DictSectionBytes(*fc_info);
 
     // Warm the page cache.
-    { auto warm = store::LoadSnapshot(raw_path, nullptr); (void)warm; }
+    { auto warm = store::LoadSnapshot(fc_path, nullptr); (void)warm; }
 
-    TripleGraph raw_loaded, fc_loaded;
-    uint64_t raw_interned = 0, fc_interned = 0;
-    bool ok = BestOf(runs, &r.raw_load_ms,
-                     [&] {
-                       store::SnapshotLoadStats stats;
-                       auto res =
-                           store::LoadSnapshot(raw_path, nullptr, {}, &stats);
-                       if (!res.ok()) return false;
-                       raw_loaded = std::move(res).value();
-                       raw_interned = stats.terms_interned;
-                       return true;
-                     }) &&
-              BestOf(runs, &r.fc_load_ms, [&] {
-                store::SnapshotLoadStats stats;
-                auto res = store::LoadSnapshot(fc_path, nullptr, {}, &stats);
-                if (!res.ok()) return false;
-                fc_loaded = std::move(res).value();
-                fc_interned = stats.terms_interned;
-                return true;
-              });
-    if (!ok) {
+    TripleGraph fc_loaded;
+    uint64_t fc_interned = 0;
+    if (!BestOf(runs, &r.fc_load_ms, [&] {
+          store::SnapshotLoadStats stats;
+          auto res = store::LoadSnapshot(fc_path, nullptr, {}, &stats);
+          if (!res.ok()) return false;
+          fc_loaded = std::move(res).value();
+          fc_interned = stats.terms_interned;
+          return true;
+        })) {
       std::fprintf(stderr, "dict bench: a load failed\n");
       return false;
     }
-    r.raw_intern_mtps =
-        r.raw_load_ms > 0
-            ? static_cast<double>(raw_interned) / (r.raw_load_ms * 1e3)
-            : 0.0;
     r.fc_intern_mtps =
         r.fc_load_ms > 0
             ? static_cast<double>(fc_interned) / (r.fc_load_ms * 1e3)
             : 0.0;
-    r.equal = GraphsBitDiffer(g, raw_loaded) == nullptr &&
-              GraphsBitDiffer(g, fc_loaded) == nullptr;
+    // A fresh load holds exactly the snapshot's terms.
+    r.raw_dict_bytes = RawDictBytes(fc_loaded.dict());
+    r.equal = GraphsBitDiffer(g, fc_loaded) == nullptr;
 
-    // Round-trip gates: resaving a freshly loaded snapshot under the same
-    // options must reproduce the file byte for byte.
-    r.roundtrip = store::WriteSnapshot(raw_loaded, resave_path, raw_opts).ok() &&
-                  FilesIdentical(raw_path, resave_path) &&
-                  store::WriteSnapshot(fc_loaded, resave_path).ok() &&
+    // Round-trip gate: resaving a freshly loaded snapshot must reproduce
+    // the file byte for byte.
+    r.roundtrip = store::WriteSnapshot(fc_loaded, resave_path).ok() &&
                   FilesIdentical(fc_path, resave_path);
     if (!r.equal || !r.roundtrip) {
       std::fprintf(stderr, "FAIL: dict point %g: equal=%d roundtrip=%d\n",
@@ -283,7 +267,6 @@ bool RunDictPoint(double scale_point, uint64_t seed, size_t runs,
     }
     return true;
   }();
-  std::filesystem::remove(raw_path);
   std::filesystem::remove(fc_path);
   std::filesystem::remove(resave_path);
   if (!point_ok) return false;
@@ -478,7 +461,9 @@ bool WriteJson(const std::string& path, const std::vector<PointResult>& points,
                std::thread::hardware_concurrency());
   std::fprintf(f, "  \"provenance\": \"single-process wall clock; "
                "hardware_threads records the recording box — on a 1-core "
-               "box the replay_threads_sweep is expected to stay flat\",\n");
+               "box the replay_threads_sweep is expected to stay flat; "
+               "dict_points raw_dict_bytes is computed as (terms + 1) x 8 + "
+               "total term bytes, the version-1 layout no writer emits\",\n");
   std::fprintf(f, "  \"points\": [\n");
   for (size_t i = 0; i < points.size(); ++i) {
     const PointResult& r = points[i];
@@ -510,8 +495,6 @@ bool WriteJson(const std::string& path, const std::vector<PointResult>& points,
     std::fprintf(f, "      \"nodes\": %zu,\n", r.nodes);
     std::fprintf(f, "      \"edges\": %zu,\n", r.edges);
     std::fprintf(f, "      \"terms\": %zu,\n", r.terms);
-    std::fprintf(f, "      \"raw_file_bytes\": %llu,\n",
-                 (unsigned long long)r.raw_file_bytes);
     std::fprintf(f, "      \"fc_file_bytes\": %llu,\n",
                  (unsigned long long)r.fc_file_bytes);
     std::fprintf(f, "      \"raw_dict_bytes\": %llu,\n",
@@ -523,9 +506,7 @@ bool WriteJson(const std::string& path, const std::vector<PointResult>& points,
                      ? static_cast<double>(r.raw_dict_bytes) /
                            static_cast<double>(r.fc_dict_bytes)
                      : 0.0);
-    std::fprintf(f, "      \"raw_load_ms\": %.2f,\n", r.raw_load_ms);
     std::fprintf(f, "      \"fc_load_ms\": %.2f,\n", r.fc_load_ms);
-    std::fprintf(f, "      \"raw_intern_mtps\": %.2f,\n", r.raw_intern_mtps);
     std::fprintf(f, "      \"fc_intern_mtps\": %.2f,\n", r.fc_intern_mtps);
     std::fprintf(f, "      \"roundtrip\": %s,\n",
                  r.roundtrip ? "true" : "false");
@@ -637,10 +618,10 @@ int main(int argc, char** argv) {
       if (!RunDictPoint(point, seed, runs, tmp_prefix, &r)) return 1;
       dict_points.push_back(r);
     }
-    std::printf("\nfront-coded vs raw dictionary:\n");
+    std::printf("\nfront-coded vs (computed) raw dictionary:\n");
     bench::TablePrinter table({"terms", "rawdict(KB)", "fcdict(KB)", "dict-x",
-                               "rawload(ms)", "fcload(ms)", "fc-Mt/s",
-                               "roundtrip", "equal"});
+                               "fcload(ms)", "fc-Mt/s", "roundtrip",
+                               "equal"});
     for (const DictPointResult& r : dict_points) {
       table.Row({bench::FmtInt(r.terms),
                  bench::FmtInt(r.raw_dict_bytes / 1024),
@@ -650,7 +631,6 @@ int main(int argc, char** argv) {
                                 ? static_cast<double>(r.raw_dict_bytes) /
                                       static_cast<double>(r.fc_dict_bytes)
                                 : 0.0),
-                 bench::Fmt("%.1f", r.raw_load_ms),
                  bench::Fmt("%.1f", r.fc_load_ms),
                  bench::Fmt("%.2f", r.fc_intern_mtps),
                  r.roundtrip ? "yes" : "NO", r.equal ? "yes" : "NO"});

@@ -10,6 +10,7 @@
 #include "parser/turtle_parser.h"
 #include "rdf/merge.h"
 #include "service/json.h"
+#include "store/atomic_writer.h"
 #include "store/update_fragment.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -78,8 +79,7 @@ bool ParseBuildRequest(const Args& args, BuildRequest* req,
                        ParseError* error) {
   if (args.positional().size() != 2) return UsageError(error);
   std::string message;
-  if (!args.OnlyKnown({"format", "threads", "json", "no-dict-compress"},
-                      &message)) {
+  if (!args.OnlyKnown({"format", "threads", "json"}, &message)) {
     return UsageError(error, message);
   }
   req->input = args.positional()[0];
@@ -114,8 +114,7 @@ Status RunBuild(const BuildRequest& req, BuildResponse* resp) {
   resp->triples = graph->NumEdges();
 
   WallTimer write_timer;
-  RDFALIGN_RETURN_IF_ERROR(store::WriteSnapshot(
-      *graph, req.output, {.compress_dict = req.common.compress_dict}));
+  RDFALIGN_RETURN_IF_ERROR(store::WriteSnapshot(*graph, req.output));
   resp->write_ms = write_timer.ElapsedMillis();
   return Status::OK();
 }
@@ -549,7 +548,7 @@ bool ParseDiffRequest(const Args& args, DiffRequest* req, ParseError* error) {
   if (args.positional().size() != 3) return UsageError(error);
   std::string message;
   if (!args.OnlyKnown({"method", "threads", "mmap", "json",
-                       "no-verify-checksums", "no-dict-compress"},
+                       "no-verify-checksums"},
                       &message)) {
     return UsageError(error, message);
   }
@@ -605,8 +604,7 @@ Status RunDiff(const DiffRequest& req, DiffResponse* resp) {
 
   WallTimer write_timer;
   RDFALIGN_RETURN_IF_ERROR(
-      store::WriteDelta(gbase, gnext, map, req.path_out, &resp->stats,
-                        {.compress_dict = req.common.compress_dict}));
+      store::WriteDelta(gbase, gnext, map, req.path_out, &resp->stats));
   resp->write_ms = write_timer.ElapsedMillis();
   return Status::OK();
 }
@@ -678,8 +676,7 @@ bool ParsePatchRequest(const Args& args, PatchRequest* req,
                        ParseError* error) {
   if (args.positional().size() != 3) return UsageError(error);
   std::string message;
-  if (!args.OnlyKnown({"threads", "mmap", "json", "no-verify-checksums",
-                       "no-dict-compress"},
+  if (!args.OnlyKnown({"threads", "mmap", "json", "no-verify-checksums"},
                       &message)) {
     return UsageError(error, message);
   }
@@ -723,8 +720,7 @@ Status RunPatch(const PatchRequest& req, PatchResponse* resp) {
   resp->triples = next.NumEdges();
 
   WallTimer write_timer;
-  RDFALIGN_RETURN_IF_ERROR(store::WriteSnapshot(
-      next, req.path_out, {.compress_dict = req.common.compress_dict}));
+  RDFALIGN_RETURN_IF_ERROR(store::WriteSnapshot(next, req.path_out));
   resp->write_ms = write_timer.ElapsedMillis();
   return Status::OK();
 }
@@ -776,7 +772,7 @@ bool ParseArchiveRequest(const Args& args, ArchiveRequest* req,
   if (args.positional().size() < 2) return UsageError(error);
   std::string message;
   if (!args.OnlyKnown({"method", "threads", "mmap", "json",
-                       "no-verify-checksums", "no-dict-compress"},
+                       "no-verify-checksums"},
                       &message)) {
     return UsageError(error, message);
   }
@@ -817,8 +813,7 @@ Status RunArchive(const ArchiveRequest& req, ArchiveResponse* resp) {
 
   WallTimer save_timer;
   RDFALIGN_RETURN_IF_ERROR(
-      store::SaveArchive(archive, req.path_out, &resp->save_stats,
-                         {.compress_dict = req.common.compress_dict}));
+      store::SaveArchive(archive, req.path_out, &resp->save_stats));
   resp->save_ms = save_timer.ElapsedMillis();
   resp->stats = archive.Stats();
   return Status::OK();
@@ -1048,7 +1043,7 @@ bool ParseUpdatesRequest(const Args& args, UpdatesRequest* req,
   if (args.positional().size() != 3) return UsageError(error);
   std::string message;
   if (!args.OnlyKnown({"seq", "threads", "mmap", "json",
-                       "no-verify-checksums", "no-dict-compress"},
+                       "no-verify-checksums"},
                       &message)) {
     return UsageError(error, message);
   }
@@ -1105,13 +1100,11 @@ Status RunUpdates(const UpdatesRequest& req, UpdatesResponse* resp) {
   resp->sequence = batch.sequence;
 
   WallTimer write_timer;
-  const store::StoreWriteOptions write_options{
-      .compress_dict = req.common.compress_dict};
   RDFALIGN_ASSIGN_OR_RETURN(std::string bytes,
-                            store::EncodeUpdateBatch(batch, write_options));
+                            store::EncodeUpdateBatch(batch));
   resp->file_bytes = bytes.size();
-  RDFALIGN_RETURN_IF_ERROR(
-      store::WriteUpdateFile(batch, req.path_out, write_options));
+  RDFALIGN_RETURN_IF_ERROR(store::AtomicWriteFile(
+      req.path_out, bytes.data(), bytes.size(), "update fragment"));
   resp->write_ms = write_timer.ElapsedMillis();
   return Status::OK();
 }
@@ -1220,10 +1213,7 @@ const char* UsageText() {
       "      running rdfalignd\n"
       "\n"
       "every command also accepts --no-verify-checksums (skip section\n"
-      "checksum verification on loads; structural validation still runs);\n"
-      "writing commands (build, diff, patch, archive, updates) also accept\n"
-      "--no-dict-compress (write the raw version-1 dictionary layout\n"
-      "instead of the front-coded version-2 default)\n";
+      "checksum verification on loads; structural validation still runs)\n";
 }
 
 namespace {

@@ -76,7 +76,7 @@ std::string_view ArchiveSectionName(ArchiveSectionId id) {
 }
 
 Status SaveArchive(const VersionArchive& archive, const std::string& path,
-                   ArchiveSaveStats* stats, const StoreWriteOptions& options) {
+                   ArchiveSaveStats* stats) {
   static_assert(std::endian::native == std::endian::little,
                 "archives are written on little-endian hosts only");
   const uint64_t num_versions = archive.NumVersions();
@@ -94,14 +94,13 @@ Status SaveArchive(const VersionArchive& archive, const std::string& path,
     std::ostringstream image(std::ios::binary);
     if (v == 0) {
       RDFALIGN_RETURN_IF_ERROR(WriteSnapshotToStream(
-          archive.Version(0), image, path + " (base snapshot)", options));
+          archive.Version(0), image, path + " (base snapshot)"));
     } else {
       const VersionNodeMap map =
           NodeMapFromEntities(archive.Entities(v - 1), archive.Entities(v));
       RDFALIGN_RETURN_IF_ERROR(WriteDeltaToStream(
           archive.Version(v - 1), archive.Version(v), map, image,
-          path + " (delta " + std::to_string(v) + ")", /*stats=*/nullptr,
-          options));
+          path + " (delta " + std::to_string(v) + ")"));
     }
     images.push_back(std::move(image).str());
   }

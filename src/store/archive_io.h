@@ -35,12 +35,8 @@ struct ArchiveSaveStats {
 };
 
 /// Serializes `archive` to `path`, overwriting any existing file.
-/// `options` is forwarded to the embedded snapshot and delta writers (the
-/// archive container format itself is unversioned by compression — only
-/// the embedded images change layout).
 Status SaveArchive(const VersionArchive& archive, const std::string& path,
-                   ArchiveSaveStats* stats = nullptr,
-                   const StoreWriteOptions& options = {});
+                   ArchiveSaveStats* stats = nullptr);
 
 /// Telemetry of an archive load.
 struct ArchiveLoadStats {

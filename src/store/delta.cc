@@ -76,9 +76,9 @@ constexpr ContainerFormat kDeltaFormat = {
 constexpr uint32_t kInvalidDense = 0xffffffffu;
 
 /// Dense numbering of the dictionary terms a graph's labels reference, in
-/// lexicographic order of the term bytes (CanonicalTermOrder). Unlike the
-/// snapshot writer's ascending-dictionary-id convention, this order is
-/// **canonical in the graph's content**: the delta writer and the patch
+/// lexicographic order of the term bytes (CanonicalTermOrder, also the
+/// snapshot term order). The order is **canonical in the graph's
+/// content**: the delta writer and the patch
 /// replayer resolve term references identically no matter how either
 /// side's dictionary was populated, so a delta applies to any base holding
 /// the right content — including one materialized by an earlier patch
@@ -188,13 +188,9 @@ uint64_t GraphFingerprint(const TripleGraph& g) {
 
 Status WriteDeltaToStream(const TripleGraph& base, const TripleGraph& next,
                           const VersionNodeMap& alignment, std::ostream& out,
-                          const std::string& name, DeltaWriteStats* stats,
-                          const StoreWriteOptions& options) {
+                          const std::string& name, DeltaWriteStats* stats) {
   static_assert(std::endian::native == std::endian::little,
                 "deltas are written on little-endian hosts only");
-  const bool fc = options.compress_dict;
-  const uint32_t version =
-      fc ? kDeltaFormatVersionFrontCoded : kDeltaFormatVersion;
   if (base.dict_ptr().get() != next.dict_ptr().get()) {
     return Status::InvalidArgument(
         "delta endpoints must share one Dictionary: " + name);
@@ -249,29 +245,12 @@ Status WriteDeltaToStream(const TripleGraph& base, const TripleGraph& next,
     }
   }
   // New terms were pushed in next-dense order, which BindTerms defines as
-  // lexicographic — exactly the order front coding wants, so the v2 blob
+  // lexicographic — exactly the order front coding wants, so the blob
   // needs no separate sort or id remap.
-  const auto new_term_bytes = [&next, &new_terms](size_t k) {
-    return next.dict().Get(new_terms[k]);
-  };
-  FrontCodedLayout layout;
-  std::vector<uint64_t> new_term_offsets;
-  if (fc) {
-    layout = FrontCodeTerms(new_terms.size(), new_term_bytes);
-    new_term_offsets = std::move(layout.suffix_offsets);
-  } else {
-    new_term_offsets.assign(new_terms.size() + 1, 0);
-    for (size_t k = 0; k < new_terms.size(); ++k) {
-      new_term_offsets[k + 1] =
-          new_term_offsets[k] + next.dict().Get(new_terms[k]).size();
-    }
-  }
-  // Bytes of new term k as stored in the blob (suffix tail under front
-  // coding, the whole term raw).
-  const auto stored_bytes = [&](size_t k) {
-    std::string_view term = new_term_bytes(k);
-    return fc ? term.substr(layout.prefix_lens[k]) : term;
-  };
+  const FrontCodedLayout layout =
+      FrontCodeTerms(new_terms.size(), [&next, &new_terms](size_t k) {
+        return next.dict().Get(new_terms[k]);
+      });
 
   // The next version's node columns, in next-dense (canonical) term
   // numbering.
@@ -352,11 +331,14 @@ Status WriteDeltaToStream(const TripleGraph& base, const TripleGraph& next,
   const SectionSource sections[kNumDeltaSectionsV2] = {
       {RawId(DeltaSectionId::kTermSources), term_sources.data(),
        tn * sizeof(uint32_t)},
-      {RawId(DeltaSectionId::kNewTermOffsets), new_term_offsets.data(),
-       new_term_offsets.size() * sizeof(uint64_t)},
-      {RawId(DeltaSectionId::kNewTermBlob), nullptr, new_term_offsets.back(),
+      {RawId(DeltaSectionId::kNewTermOffsets), layout.suffix_offsets.data(),
+       layout.suffix_offsets.size() * sizeof(uint64_t)},
+      {RawId(DeltaSectionId::kNewTermBlob), nullptr,
+       layout.suffix_offsets.back(),
        [&](const PieceSink& sink) {
-         for (size_t k = 0; k < new_terms.size(); ++k) sink(stored_bytes(k));
+         for (size_t k = 0; k < new_terms.size(); ++k) {
+           sink(next.dict().Get(new_terms[k]).substr(layout.prefix_lens[k]));
+         }
        }},
       {RawId(DeltaSectionId::kNodeKinds), kinds.data(), nn * sizeof(uint8_t)},
       {RawId(DeltaSectionId::kNodeLex), lex.data(), nn * sizeof(uint32_t)},
@@ -372,7 +354,7 @@ Status WriteDeltaToStream(const TripleGraph& base, const TripleGraph& next,
        layout.prefix_lens.size() * sizeof(uint32_t)},
   };
   DeltaHeader header{};
-  header.version = version;
+  header.version = kDeltaFormatVersionFrontCoded;
   header.base_nodes = bn;
   header.base_triples = be;
   header.base_terms = tb;
@@ -381,9 +363,8 @@ Status WriteDeltaToStream(const TripleGraph& base, const TripleGraph& next,
   header.next_triples = ne;
   header.next_terms = tn;
   header.num_new_terms = new_terms.size();
-  RDFALIGN_RETURN_IF_ERROR(WriteContainer(
-      kDeltaFormat, &header, std::span(sections, DeltaSectionCount(version)),
-      out, name));
+  RDFALIGN_RETURN_IF_ERROR(
+      WriteContainer(kDeltaFormat, &header, sections, out, name));
   if (stats != nullptr) {
     stats->kept_triples = kept_count;
     stats->removed_triples = removed_count;
@@ -398,12 +379,11 @@ Status WriteDeltaToStream(const TripleGraph& base, const TripleGraph& next,
 
 Status WriteDelta(const TripleGraph& base, const TripleGraph& next,
                   const VersionNodeMap& alignment, const std::string& path,
-                  DeltaWriteStats* stats, const StoreWriteOptions& options) {
+                  DeltaWriteStats* stats, const StoreWriteOptions& /*unread*/) {
   // Durable atomic replace (store/atomic_writer.h): a crash mid-save
   // leaves the previous delta intact, never a torn file.
   return AtomicWriteStream(path, "delta", [&](std::ostream& out) {
-    return WriteDeltaToStream(base, next, alignment, out, path, stats,
-                              options);
+    return WriteDeltaToStream(base, next, alignment, out, path, stats);
   });
 }
 
@@ -423,7 +403,6 @@ Result<TripleGraph> ApplyFromContainer(const TripleGraph& base,
   };
 
   const auto header = c.header<DeltaHeader>();
-  const bool fc = header.version == kDeltaFormatVersionFrontCoded;
   const size_t threads = ResolveThreads(options.threads);
   if (options.verify_checksums) {
     RDFALIGN_RETURN_IF_ERROR(c.VerifyChecksums(threads));
@@ -451,16 +430,14 @@ Result<TripleGraph> ApplyFromContainer(const TripleGraph& base,
   const uint64_t nw = header.num_new_terms;
 
   const auto term_sources = c.Section<uint32_t>(0);
-  const auto new_term_offsets = c.Section<uint64_t>(1);
-  const auto blob = c.Section<char>(2);
+  const TermSection new_terms = TermSectionAt(
+      c, header.version == kDeltaFormatVersionFrontCoded, 1, 2, 9);
   const auto kinds = c.Section<uint8_t>(3);
   const auto lex = c.Section<uint32_t>(4);
   const auto remap = c.Section<NodeId>(5);
   const auto removed_runs = c.Section<RunEntry>(6);
   const auto kept_runs = c.Section<RunEntry>(7);
   const auto added = c.Section<Triple>(8);
-  const auto new_prefix_lens =
-      fc ? c.Section<uint32_t>(9) : std::span<const uint32_t>{};
 
   // Structural validation: every array reference checked before use, so a
   // crafted delta (checksums recomputed) is a Corruption status, never UB.
@@ -481,28 +458,12 @@ Result<TripleGraph> ApplyFromContainer(const TripleGraph& base,
       return corrupt("delta new-term count inconsistent with term sources");
     }
   }
-  if (fc) {
-    if (const char* defect = CheckFrontCodedGeometry(
-            new_prefix_lens, new_term_offsets, blob.size(), nullptr)) {
-      return corrupt(defect);
-    }
-  } else {
-    if (new_term_offsets[0] != 0 || new_term_offsets[nw] != blob.size()) {
-      return corrupt("delta term offset table does not span the term blob");
-    }
-    for (uint64_t k = 0; k < nw; ++k) {
-      if (new_term_offsets[k] > new_term_offsets[k + 1]) {
-        return corrupt("delta term offsets not monotonic");
-      }
-    }
+  uint64_t arena_bytes = 0;
+  if (const char* defect = CheckTermSection(new_terms, &arena_bytes)) {
+    return corrupt(defect);
   }
-  for (uint64_t i = 0; i < nn; ++i) {
-    if (kinds[i] > static_cast<uint8_t>(TermKind::kBlank)) {
-      return corrupt("delta node kind out of range");
-    }
-    if (lex[i] >= tn) {
-      return corrupt("delta node label references term out of range");
-    }
+  if (const char* defect = CheckNodeColumns(kinds, lex, tn)) {
+    return corrupt(defect);
   }
   // Invert the node remap; it must be injective into the base node set.
   std::vector<NodeId> base_to_next(bn, kInvalidNode);
@@ -652,42 +613,21 @@ Result<TripleGraph> ApplyFromContainer(const TripleGraph& base,
     return id;
   };
   std::vector<LexId> lex_map(tn);
-  {
-    uint64_t new_seen = 0;
-    // Front-coded decode state: the previous decoded new term, kept whole
-    // so the next term's prefix head can be copied from it (swap, never
-    // resize in place — the head is read before it is overwritten).
-    std::string prev_new;
-    std::string cur_new;
-    for (uint64_t j = 0; j < tn; ++j) {
-      const uint32_t src = term_sources[j];
-      std::string_view term;
-      if (src & kNewTermFlag) {
-        const uint64_t suffix_len =
-            new_term_offsets[new_seen + 1] - new_term_offsets[new_seen];
-        if (fc) {
-          const uint32_t plen = new_prefix_lens[new_seen];
-          cur_new.assign(prev_new.data(), plen);
-          cur_new.append(blob.data() + new_term_offsets[new_seen],
-                         suffix_len);
-          if (new_seen > 0 && !(prev_new < cur_new)) {
-            return corrupt("delta front-coded terms not strictly ascending");
-          }
-          std::swap(prev_new, cur_new);
-          term = prev_new;
-        } else {
-          term = std::string_view(blob.data() + new_term_offsets[new_seen],
-                                  suffix_len);
-        }
-        ++new_seen;
-      } else if (own_dict) {
-        lex_map[j] = base_terms.term_ids[src];
-        continue;
-      } else {
-        term = base.dict().Get(base_terms.term_ids[src]);
-      }
-      lex_map[j] = resolve(term);
+  std::vector<char> arena;
+  arena.reserve(arena_bytes);
+  TermDecoder decoder(new_terms, &arena);
+  for (uint64_t j = 0; j < tn; ++j) {
+    const uint32_t src = term_sources[j];
+    std::string_view term;
+    if (src & kNewTermFlag) {
+      if (const char* defect = decoder.Next(&term)) return corrupt(defect);
+    } else if (own_dict) {
+      lex_map[j] = base_terms.term_ids[src];
+      continue;
+    } else {
+      term = base.dict().Get(base_terms.term_ids[src]);
     }
+    lex_map[j] = resolve(term);
   }
   std::vector<NodeLabel> labels(nn);
   for (uint64_t i = 0; i < nn; ++i) {

@@ -1,4 +1,4 @@
-// On-disk layout of the rdfalign binary snapshot format (version 1).
+// On-disk layout of the rdfalign binary snapshot format (versions 1 and 2).
 //
 // A snapshot serializes one TripleGraph — term dictionary, node labels,
 // triple list, and both CSR indexes — so that it reloads with zero parsing:
@@ -36,12 +36,13 @@ inline constexpr std::array<char, 8> kMagic = {'R', 'D', 'F', 'S',
                                                'N', 'A', 'P', '1'};
 
 /// Version 1: raw dictionary (whole terms, ascending original-id order).
-/// Still written by `--no-dict-compress` and read bit-identically.
+/// Read only: no writer emits it any more, and readers load it
+/// bit-identically.
 inline constexpr uint32_t kFormatVersion = 1;
 
 /// Version 2: front-coded dictionary (terms sorted lexicographically,
-/// shared prefixes elided — see store/front_coding.h). The default for
-/// new files; readers accept versions 1 and 2.
+/// shared prefixes elided — see store/front_coding.h). The only version
+/// written; readers accept versions 1 and 2.
 inline constexpr uint32_t kFormatVersionFrontCoded = 2;
 
 /// Fixed byte-order tag. Written in native order; a reader on a host of
@@ -101,11 +102,10 @@ struct SectionEntry {
 static_assert(sizeof(SectionEntry) == 32);
 static_assert(std::is_trivially_copyable_v<SectionEntry>);
 
-/// Options honored by every dictionary-bearing writer (snapshot, delta,
-/// update fragment, archive — the archive inherits them into its embedded
-/// images). `compress_dict` selects the front-coded version-2 dictionary
-/// encoding; clearing it (`--no-dict-compress`) writes the version-1
-/// layout byte-identically to pre-front-coding builds.
+/// The unread last parameter of WriteSnapshot and WriteDelta. Writers
+/// always emit the front-coded version-2 layout; `compress_dict` is kept
+/// only so that existing callers naming it in designated initializers
+/// still compile, and no code reads it.
 struct StoreWriteOptions {
   bool compress_dict = true;
 };
@@ -132,13 +132,13 @@ static_assert(sizeof(NodeId) == 4 && sizeof(LexId) == 4);
 inline constexpr std::array<char, 8> kDeltaMagic = {'R', 'D', 'F', 'D',
                                                     'E', 'L', 'T', '1'};
 
-/// Delta version 1: raw new-term blob. Still written by
-/// `--no-dict-compress` and read bit-identically.
+/// Delta version 1: raw new-term blob. Read only: no writer emits it any
+/// more, and readers apply it bit-identically.
 inline constexpr uint32_t kDeltaFormatVersion = 1;
 
 /// Delta version 2: front-coded new-term blob (the new-term list is
-/// already lexicographically sorted by construction). The default for
-/// new files; readers accept versions 1 and 2.
+/// already lexicographically sorted by construction). The only version
+/// written; readers accept versions 1 and 2.
 inline constexpr uint32_t kDeltaFormatVersionFrontCoded = 2;
 
 /// The payload sections of a delta, in file order. Version 1 files carry

@@ -1,9 +1,11 @@
-// Front-coded dictionary sections (format version 2 of the snapshot,
-// delta, and update-fragment files).
+// Dictionary sections of the snapshot, delta, and update-fragment files:
+// the front-coded writer layout and the one reader-side check and decode
+// of both on-disk term layouts.
 //
-// The terms of a dictionary section are sorted lexicographically by their
-// raw bytes; consecutive terms then share long prefixes (IRIs share
-// namespaces by construction), and each term is stored as
+// Writers emit format version 2, the front-coded layout. Its terms are
+// sorted lexicographically by their raw bytes; consecutive terms then
+// share long prefixes (IRIs share namespaces by construction), and each
+// term is stored as
 //
 //   prefix_lens[i]  — bytes shared with term i-1 (u32)
 //   suffix          — the remaining tail, concatenated into the blob
@@ -11,18 +13,19 @@
 // with a *restart point* every kRestartInterval terms: at a restart the
 // prefix length is forced to zero, so the term is stored whole and any
 // single term decodes by scanning at most one block — O(block), not O(i).
-// The suffix offset table keeps the familiar (t + 1) x u64 shape of the
-// raw encoding, but its entries now index the *suffix* blob.
+// The suffix offset table keeps the (t + 1) x u64 shape of the raw
+// version-1 layout, but its entries index the *suffix* blob.
+//
+// Readers also accept version 1, the raw layout: whole terms, no prefix
+// column, in no particular order (no writer emits it any more; committed
+// fixtures pin it). Both layouts go through CheckTermSection and
+// TermDecoder below, so a reader knows nothing of either.
 //
 // The decode contract (see docs/store.md "Front-coded dictionary"):
-// restart terms are complete in the blob and stay zero-copy; non-restart
-// terms are materialized (previous term's head + own suffix) into a side
-// arena pinned to the dictionary, so Dictionary::InternPinned remains
-// valid for every term and the mmap fast path survives.
-//
-// This header holds the pieces shared by all three writers and readers:
-// the restart interval, the prefix/suffix computation, and the geometry
-// validation a loader must run before touching the blob.
+// restart terms and raw terms are complete in the blob and stay
+// zero-copy; non-restart terms are materialized (previous term's head +
+// own suffix) into a caller-owned arena, so a snapshot load can pin it to
+// the dictionary and Dictionary::InternPinned stays valid for every term.
 
 #ifndef RDFALIGN_STORE_FRONT_CODING_H_
 #define RDFALIGN_STORE_FRONT_CODING_H_
@@ -76,43 +79,84 @@ FrontCodedLayout FrontCodeTerms(size_t count, GetTerm&& get) {
   return layout;
 }
 
-/// Validates the geometry of a front-coded section before any blob byte
-/// is interpreted: the suffix offsets span the blob monotonically, every
-/// restart has prefix length zero, and every prefix length is bounded by
-/// the previous term's decoded length — so the decode loop below never
-/// reads outside [prev term]. Returns nullptr on success or a static
-/// description of the defect; on success *materialized_bytes is the total
-/// decoded size of the non-restart terms (the side-arena budget).
-inline const char* CheckFrontCodedGeometry(
-    std::span<const uint32_t> prefix_lens,
-    std::span<const uint64_t> suffix_offsets, uint64_t blob_size,
-    uint64_t* materialized_bytes) {
-  const size_t count = prefix_lens.size();
-  if (suffix_offsets.size() != count + 1) {
-    return "front-coded prefix table does not match the offset table";
-  }
-  if (suffix_offsets[0] != 0 || suffix_offsets[count] != blob_size) {
-    return "term offset table does not span the term blob";
-  }
-  uint64_t arena = 0;
-  uint64_t prev_len = 0;
-  for (size_t i = 0; i < count; ++i) {
-    if (suffix_offsets[i] > suffix_offsets[i + 1]) {
-      return "term offsets not monotonic";
+/// A dictionary section as a reader finds it in a container. `offsets`
+/// has count + 1 entries; `prefix_lens` has count entries when the
+/// section is front-coded and is ignored otherwise.
+struct TermSection {
+  bool front_coded = false;
+  std::span<const uint64_t> offsets;
+  std::span<const char> blob;
+  std::span<const uint32_t> prefix_lens;
+
+  size_t count() const { return offsets.size() - 1; }
+};
+
+class Container;
+
+/// The term section of `c` at table positions `offsets` and `blob`, plus
+/// `prefix_lens` when `front_coded` (a raw file has no such section).
+TermSection TermSectionAt(const Container& c, bool front_coded,
+                          size_t offsets, size_t blob, size_t prefix_lens);
+
+/// Validates a term section's geometry before any blob byte is
+/// interpreted: the offsets span the blob monotonically and, when
+/// front-coded, every restart has prefix length zero and every prefix
+/// length is bounded by the previous term's decoded length — so
+/// TermDecoder never reads outside its inputs. Returns nullptr on success
+/// or a static description of the defect; on success *arena_bytes is the
+/// total decoded size of the materialized terms (the arena budget, 0 for
+/// a raw section).
+const char* CheckTermSection(const TermSection& section,
+                             uint64_t* arena_bytes);
+
+/// Validates the node columns that reference a term section: every kind
+/// is a TermKind and every lex index names one of `num_terms` terms.
+/// Returns nullptr or a static description of the defect.
+const char* CheckNodeColumns(std::span<const uint8_t> kinds,
+                             std::span<const uint32_t> lex,
+                             uint64_t num_terms);
+
+/// Decodes a section that passed CheckTermSection, one term per Next()
+/// call in file order. Materialized terms are appended to `arena`, which
+/// the caller reserves to the CheckTermSection budget beforehand: the
+/// arena then never reallocates, so every view handed out stays valid
+/// as long as the arena and the blob do.
+class TermDecoder {
+ public:
+  TermDecoder(TermSection section, std::vector<char>* arena)
+      : section_(section), arena_(arena) {}
+
+  /// Decodes the next term into *term. Returns nullptr, or a static
+  /// description of the defect when a front-coded term is not strictly
+  /// greater than its predecessor (which proves the terms distinct).
+  const char* Next(std::string_view* term) {
+    const uint64_t begin = section_.offsets[next_];
+    const uint64_t len = section_.offsets[next_ + 1] - begin;
+    const uint32_t plen =
+        section_.front_coded ? section_.prefix_lens[next_] : 0;
+    if (plen == 0) {
+      *term = std::string_view(section_.blob.data() + begin, len);
+    } else {
+      const size_t pos = arena_->size();
+      arena_->insert(arena_->end(), prev_.data(), prev_.data() + plen);
+      arena_->insert(arena_->end(), section_.blob.data() + begin,
+                     section_.blob.data() + begin + len);
+      *term = std::string_view(arena_->data() + pos, plen + len);
     }
-    const uint64_t suffix_len = suffix_offsets[i + 1] - suffix_offsets[i];
-    const uint64_t plen = prefix_lens[i];
-    if (i % kRestartInterval == 0) {
-      if (plen != 0) return "front-coded restart term has a nonzero prefix";
-    } else if (plen > prev_len) {
-      return "front-coded prefix longer than the previous term";
+    if (section_.front_coded && next_ > 0 && !(prev_ < *term)) {
+      return "front-coded terms not strictly ascending";
     }
-    prev_len = plen + suffix_len;
-    if (plen != 0) arena += prev_len;
+    prev_ = *term;
+    ++next_;
+    return nullptr;
   }
-  if (materialized_bytes != nullptr) *materialized_bytes = arena;
-  return nullptr;
-}
+
+ private:
+  TermSection section_;
+  std::vector<char>* arena_;
+  std::string_view prev_;
+  uint64_t next_ = 0;
+};
 
 }  // namespace rdfalign::store
 

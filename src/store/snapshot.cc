@@ -134,55 +134,29 @@ std::vector<LexId> CanonicalTermOrder(const TripleGraph& g) {
 }
 
 Status WriteSnapshotToStream(const TripleGraph& g, std::ostream& out,
-                             const std::string& path,
-                             const StoreWriteOptions& options) {
+                             const std::string& path) {
   static_assert(std::endian::native == std::endian::little,
                 "snapshots are written on little-endian hosts only");
   const size_t n = g.NumNodes();
   const size_t e = g.NumEdges();
   const Dictionary& dict = g.dict();
-  const bool fc = options.compress_dict;
-  const uint32_t version = fc ? kFormatVersionFrontCoded : kFormatVersion;
 
-  // Terms referenced by this graph, renumbered densely. A shared
-  // dictionary may hold terms of other graphs; those are not written.
-  // Version 1 keeps ascending original-id order; version 2 sorts the terms
-  // lexicographically (the front-coding precondition). Either way, loading
-  // a snapshot into a fresh dictionary interns the terms in file order, so
-  // re-saving a loaded snapshot reproduces it byte for byte.
-  std::vector<LexId> term_ids;
-  if (fc) {
-    term_ids = CanonicalTermOrder(g);
-  } else {
-    std::vector<uint8_t> used(dict.size(), 0);
-    for (const NodeLabel& l : g.labels()) {
-      used[l.lex] = 1;
-    }
-    for (LexId id = 0; id < used.size(); ++id) {
-      if (used[id]) term_ids.push_back(id);
-    }
-  }
+  // Terms referenced by this graph, renumbered densely in lexicographic
+  // order (the front-coding precondition). A shared dictionary may hold
+  // terms of other graphs; those are not written. Loading a snapshot into
+  // a fresh dictionary interns the terms in file order, so re-saving a
+  // loaded snapshot reproduces it byte for byte.
+  const std::vector<LexId> term_ids = CanonicalTermOrder(g);
   const size_t num_terms = term_ids.size();
   std::vector<LexId> remap(dict.size(), kInvalidLex);
   for (size_t j = 0; j < num_terms; ++j) {
     remap[term_ids[j]] = static_cast<LexId>(j);
   }
 
-  // Dense columns. In version 2 the offset table indexes the suffix blob
-  // and a prefix-length column is appended as the tenth section.
-  FrontCodedLayout layout;
-  std::vector<uint64_t> raw_offsets;
-  if (fc) {
-    layout = FrontCodeTerms(
-        num_terms, [&](size_t i) { return dict.Get(term_ids[i]); });
-  } else {
-    raw_offsets.assign(num_terms + 1, 0);
-    for (size_t i = 0; i < num_terms; ++i) {
-      raw_offsets[i + 1] = raw_offsets[i] + dict.Get(term_ids[i]).size();
-    }
-  }
-  const std::vector<uint64_t>& term_offsets =
-      fc ? layout.suffix_offsets : raw_offsets;
+  // Dense columns. The offset table indexes the suffix blob; the
+  // prefix-length column is the tenth section.
+  const FrontCodedLayout layout = FrontCodeTerms(
+      num_terms, [&](size_t i) { return dict.Get(term_ids[i]); });
   std::vector<uint8_t> kinds(n);
   std::vector<uint32_t> lex(n);
   for (size_t i = 0; i < n; ++i) {
@@ -190,19 +164,14 @@ Status WriteSnapshotToStream(const TripleGraph& g, std::ostream& out,
     lex[i] = remap[g.labels()[i].lex];
   }
 
-  // The i-th term's bytes as stored in the blob: the whole term (v1) or
-  // its suffix tail past the shared prefix (v2).
-  const auto stored_bytes = [&](size_t i) {
-    std::string_view term = dict.Get(term_ids[i]);
-    return fc ? term.substr(layout.prefix_lens[i]) : term;
-  };
-
   const SectionSource sections[kNumSectionsV2] = {
-      {RawId(SectionId::kTermOffsets), term_offsets.data(),
+      {RawId(SectionId::kTermOffsets), layout.suffix_offsets.data(),
        (num_terms + 1) * sizeof(uint64_t)},
-      {RawId(SectionId::kTermBlob), nullptr, term_offsets[num_terms],
+      {RawId(SectionId::kTermBlob), nullptr, layout.suffix_offsets[num_terms],
        [&](const PieceSink& sink) {
-         for (size_t i = 0; i < num_terms; ++i) sink(stored_bytes(i));
+         for (size_t i = 0; i < num_terms; ++i) {
+           sink(dict.Get(term_ids[i]).substr(layout.prefix_lens[i]));
+         }
        }},
       {RawId(SectionId::kNodeKinds), kinds.data(), n * sizeof(uint8_t)},
       {RawId(SectionId::kNodeLex), lex.data(), n * sizeof(uint32_t)},
@@ -219,21 +188,19 @@ Status WriteSnapshotToStream(const TripleGraph& g, std::ostream& out,
        num_terms * sizeof(uint32_t)},
   };
   SnapshotHeader header{};
-  header.version = version;
+  header.version = kFormatVersionFrontCoded;
   header.num_nodes = n;
   header.num_triples = e;
   header.num_terms = num_terms;
-  return WriteContainer(kSnapshotFormat, &header,
-                        std::span(sections, SectionCount(version)), out,
-                        path);
+  return WriteContainer(kSnapshotFormat, &header, sections, out, path);
 }
 
 Status WriteSnapshot(const TripleGraph& g, const std::string& path,
-                     const StoreWriteOptions& options) {
+                     const StoreWriteOptions& /*unread*/) {
   // Durable atomic replace (store/atomic_writer.h): a crash mid-save
   // leaves the previous snapshot intact and never a torn file.
   return AtomicWriteStream(path, "snapshot", [&](std::ostream& out) {
-    return WriteSnapshotToStream(g, out, path, options);
+    return WriteSnapshotToStream(g, out, path);
   });
 }
 
@@ -252,13 +219,12 @@ Result<TripleGraph> LoadFromContainer(const Container& c,
   const uint64_t n = header.num_nodes;
   const uint64_t e = header.num_triples;
   const uint64_t t = header.num_terms;
-  const bool fc = header.version == kFormatVersionFrontCoded;
   if (options.verify_checksums) {
     RDFALIGN_RETURN_IF_ERROR(c.VerifyChecksums(/*threads=*/1));
   }
 
-  const auto term_offsets = c.Section<uint64_t>(0);
-  const auto blob = c.Section<char>(1);
+  const TermSection terms =
+      TermSectionAt(c, header.version == kFormatVersionFrontCoded, 0, 1, 9);
   const auto kinds = c.Section<uint8_t>(2);
   const auto lex = c.Section<uint32_t>(3);
   const auto triples = c.Section<Triple>(4);
@@ -266,8 +232,6 @@ Result<TripleGraph> LoadFromContainer(const Container& c,
   const auto out_pairs = c.Section<PredicateObject>(6);
   const auto in_offsets = c.Section<uint64_t>(7);
   const auto in_subjects = c.Section<NodeId>(8);
-  const auto prefix_lens =
-      fc ? c.Section<uint32_t>(9) : std::span<const uint32_t>{};
 
   // Structural validation: everything FromIndexedParts trusts. Runs on
   // every load — these invariants are what make a malformed file safe to
@@ -276,31 +240,11 @@ Result<TripleGraph> LoadFromContainer(const Container& c,
     return Status::Corruption(std::string(what) + ": " + path);
   };
   uint64_t arena_bytes = 0;
-  if (fc) {
-    // Front-coded geometry: offsets span the suffix blob, restarts are
-    // whole terms, prefixes bounded by the previous decoded length — the
-    // decode loop below then never reads outside its inputs.
-    if (const char* defect = CheckFrontCodedGeometry(
-            prefix_lens, term_offsets, blob.size(), &arena_bytes)) {
-      return corrupt(defect);
-    }
-  } else {
-    if (term_offsets[0] != 0 || term_offsets[t] != blob.size()) {
-      return corrupt("term offset table does not span the term blob");
-    }
-    for (uint64_t i = 0; i < t; ++i) {
-      if (term_offsets[i] > term_offsets[i + 1]) {
-        return corrupt("term offsets not monotonic");
-      }
-    }
+  if (const char* defect = CheckTermSection(terms, &arena_bytes)) {
+    return corrupt(defect);
   }
-  for (uint64_t i = 0; i < n; ++i) {
-    if (kinds[i] > static_cast<uint8_t>(TermKind::kBlank)) {
-      return corrupt("node kind out of range");
-    }
-    if (lex[i] >= t) {
-      return corrupt("node label references term out of range");
-    }
+  if (const char* defect = CheckNodeColumns(kinds, lex, t)) {
+    return corrupt(defect);
   }
   for (uint64_t i = 0; i < e; ++i) {
     const Triple& tr = triples[i];
@@ -354,53 +298,29 @@ Result<TripleGraph> LoadFromContainer(const Container& c,
   // fresh dictionary this assigns ids 0..t-1 in file order (identity map);
   // with a shared dictionary the ids are remapped transparently. Front-coded
   // terms into a fresh (or still empty shared) dictionary are appended
-  // unhashed, so the ascending check below is load-bearing: it proves them
-  // distinct, without which two equal labels could get two LexIds.
+  // unhashed, so the decoder's ascending check is load-bearing: it proves
+  // them distinct, without which two equal labels could get two LexIds.
   if (dict == nullptr) dict = std::make_shared<Dictionary>();
   const bool fresh = dict->size() == 0;
   dict->PinArena(c.pin());
   const size_t dict_before = dict->size();
   std::vector<LexId> remap(t);
   bool identity = true;
-  if (fc) {
-    // Front-coded decode. Restart terms are complete in the blob and stay
-    // zero-copy views; non-restart terms are materialized (previous term's
-    // head + own suffix) into a side arena pinned to the dictionary. The
-    // arena is reserved to its exact final size and MUST NOT reallocate —
-    // views already interned point into it. The previous term is always
-    // contiguous (a blob view or an arena entry), so its head is one copy.
-    auto arena = std::make_shared<std::vector<char>>();
-    arena->reserve(arena_bytes);
-    std::string_view prev;
-    for (uint64_t i = 0; i < t; ++i) {
-      const uint64_t slen = term_offsets[i + 1] - term_offsets[i];
-      const uint32_t plen = prefix_lens[i];
-      std::string_view term;
-      if (plen == 0) {
-        term = std::string_view(blob.data() + term_offsets[i], slen);
-      } else {
-        const size_t pos = arena->size();
-        arena->insert(arena->end(), prev.data(), prev.data() + plen);
-        arena->insert(arena->end(), blob.data() + term_offsets[i],
-                      blob.data() + term_offsets[i] + slen);
-        term = std::string_view(arena->data() + pos, plen + slen);
-      }
-      if (i > 0 && !(prev < term)) {
-        return corrupt("front-coded terms not strictly ascending");
-      }
-      remap[i] = fresh ? dict->AppendPinned(term) : dict->InternPinned(term);
-      identity = identity && remap[i] == i;
-      prev = term;
-    }
-    if (!arena->empty()) dict->PinArena(std::move(arena));
-  } else {
-    for (uint64_t i = 0; i < t; ++i) {
-      std::string_view term(blob.data() + term_offsets[i],
-                            term_offsets[i + 1] - term_offsets[i]);
-      remap[i] = dict->InternPinned(term);
-      identity = identity && remap[i] == i;
-    }
+  // Restart and raw terms stay zero-copy views into the pinned payload;
+  // materialized terms go to a side arena pinned to the dictionary. The
+  // arena is reserved to its exact final size and MUST NOT reallocate —
+  // views already interned point into it.
+  auto arena = std::make_shared<std::vector<char>>();
+  arena->reserve(arena_bytes);
+  TermDecoder decoder(terms, arena.get());
+  const bool append = fresh && terms.front_coded;
+  for (uint64_t i = 0; i < t; ++i) {
+    std::string_view term;
+    if (const char* defect = decoder.Next(&term)) return corrupt(defect);
+    remap[i] = append ? dict->AppendPinned(term) : dict->InternPinned(term);
+    identity = identity && remap[i] == i;
   }
+  if (!arena->empty()) dict->PinArena(std::move(arena));
 
   std::vector<NodeLabel> labels(n);
   for (uint64_t i = 0; i < n; ++i) {

@@ -41,11 +41,10 @@ std::vector<LexId> CanonicalTermOrder(const TripleGraph& g);
 /// Serializes `g` to `path`, overwriting any existing file. Only the
 /// dictionary terms actually referenced by the graph's labels are written
 /// (a shared dictionary may hold terms of other graphs), renumbered
-/// densely — in ascending original-id order for the raw version-1 layout,
-/// in lexicographic order for the front-coded version-2 default
-/// (options.compress_dict; see store/front_coding.h and docs/store.md).
-/// Either way, saving a freshly loaded snapshot reproduces it byte for
-/// byte under the same options.
+/// densely in lexicographic order and front-coded (format version 2; see
+/// store/front_coding.h and docs/store.md). Saving a freshly loaded
+/// snapshot reproduces it byte for byte. The StoreWriteOptions argument
+/// is unread (see its definition in store/format.h).
 ///
 /// The store persists *triple graphs* (§2.1), not only RDF graphs: label
 /// uniqueness and the RDF positional constraints are intentionally not
@@ -54,13 +53,12 @@ std::vector<LexId> CanonicalTermOrder(const TripleGraph& g);
 /// snapshot subjects. Callers needing RDF-graph guarantees should obtain
 /// the graph through a validating front end (parser / GraphBuilder).
 Status WriteSnapshot(const TripleGraph& g, const std::string& path,
-                     const StoreWriteOptions& options = {});
+                     const StoreWriteOptions& unread = {});
 
 /// Serializes `g` into an already-open binary stream (the archive store
 /// embeds snapshot images this way). `name` labels error messages.
 Status WriteSnapshotToStream(const TripleGraph& g, std::ostream& out,
-                             const std::string& name,
-                             const StoreWriteOptions& options = {});
+                             const std::string& name);
 
 struct SnapshotLoadOptions {
   /// Map the file instead of reading it into a buffer. The CSR arrays are

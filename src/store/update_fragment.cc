@@ -89,16 +89,6 @@ constexpr ContainerFormat kUpdateFormat = {
         },
 };
 
-bool TripleLess(const Triple& a, const Triple& b) {
-  if (a.s != b.s) return a.s < b.s;
-  if (a.p != b.p) return a.p < b.p;
-  return a.o < b.o;
-}
-
-bool TripleEq(const Triple& a, const Triple& b) {
-  return a.s == b.s && a.p == b.p && a.o == b.o;
-}
-
 /// Internal invariants every encoded (and every accepted decoded) batch
 /// satisfies; shared so a hand-built batch fails the same way a corrupt
 /// fragment does.
@@ -122,7 +112,7 @@ Status ValidateBatch(const UpdateBatch& batch, const std::string& name) {
         return Status::Corruption(std::string("update batch ") + what +
                                   " references an undeclared node: " + name);
       }
-      if (i > 0 && !TripleLess(ts[i - 1], ts[i])) {
+      if (i > 0 && !(ts[i - 1] < ts[i])) {
         return Status::Corruption(std::string("update batch ") + what +
                                   " not sorted/deduplicated: " + name);
       }
@@ -157,67 +147,51 @@ bool LooksLikeUpdateFile(const std::string& path) {
   return FileHasMagic(kUpdateFormat, path);
 }
 
-Result<std::string> EncodeUpdateBatch(const UpdateBatch& batch,
-                                      const StoreWriteOptions& options) {
+Result<std::string> EncodeUpdateBatch(const UpdateBatch& batch) {
   static_assert(std::endian::native == std::endian::little,
                 "update fragments are written on little-endian hosts only");
   RDFALIGN_RETURN_IF_ERROR(ValidateBatch(batch, "encode"));
-  const bool fc = options.compress_dict;
-  const uint32_t version =
-      fc ? kUpdateFormatVersionFrontCoded : kUpdateFormatVersion;
 
-  // Term table: distinct lexical forms in first-use (reference) order —
-  // the version-1 file order. Version 2 re-sorts them lexicographically
-  // below so consecutive terms share prefixes.
+  // Term table: distinct lexical forms, collected in first-use
+  // (reference) order and then sorted lexicographically so consecutive
+  // terms share prefixes.
   std::unordered_map<std::string_view, uint32_t> term_of;
-  std::vector<std::string_view> terms;
+  std::vector<std::string_view> first_use;
   std::vector<uint32_t> lex(batch.nodes.size());
   std::vector<uint8_t> kinds(batch.nodes.size());
   for (size_t i = 0; i < batch.nodes.size(); ++i) {
     kinds[i] = static_cast<uint8_t>(batch.nodes[i].kind);
     const std::string_view form = batch.nodes[i].lex;
     auto [it, inserted] =
-        term_of.emplace(form, static_cast<uint32_t>(terms.size()));
-    if (inserted) terms.push_back(form);
+        term_of.emplace(form, static_cast<uint32_t>(first_use.size()));
+    if (inserted) first_use.push_back(form);
     lex[i] = it->second;
   }
-  FrontCodedLayout layout;
-  if (fc) {
-    // The forms are distinct (term_of interned uniquely), so the sort is
-    // strict and the remap a permutation.
-    std::vector<uint32_t> order(terms.size());
-    std::iota(order.begin(), order.end(), 0u);
-    std::sort(order.begin(), order.end(), [&terms](uint32_t a, uint32_t b) {
-      return terms[a] < terms[b];
-    });
-    std::vector<uint32_t> remap(terms.size());
-    std::vector<std::string_view> sorted(terms.size());
-    for (size_t k = 0; k < order.size(); ++k) {
-      remap[order[k]] = static_cast<uint32_t>(k);
-      sorted[k] = terms[order[k]];
-    }
-    terms = std::move(sorted);
-    for (uint32_t& t : lex) t = remap[t];
-    layout = FrontCodeTerms(terms.size(),
-                            [&terms](size_t k) { return terms[k]; });
+  // The forms are distinct (term_of interned uniquely), so the sort is
+  // strict and the remap a permutation.
+  std::vector<uint32_t> order(first_use.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&first_use](uint32_t a, uint32_t b) {
+    return first_use[a] < first_use[b];
+  });
+  std::vector<uint32_t> remap(first_use.size());
+  std::vector<std::string_view> terms(first_use.size());
+  for (size_t k = 0; k < order.size(); ++k) {
+    remap[order[k]] = static_cast<uint32_t>(k);
+    terms[k] = first_use[order[k]];
   }
-  std::vector<uint64_t> term_offsets;
-  if (fc) {
-    term_offsets = std::move(layout.suffix_offsets);
-  } else {
-    term_offsets.assign(terms.size() + 1, 0);
-    for (size_t t = 0; t < terms.size(); ++t) {
-      term_offsets[t + 1] = term_offsets[t] + terms[t].size();
-    }
-  }
+  for (uint32_t& t : lex) t = remap[t];
+  const FrontCodedLayout layout =
+      FrontCodeTerms(terms.size(), [&terms](size_t k) { return terms[k]; });
 
   const SectionSource sections[kNumUpdateSectionsV2] = {
-      {RawId(UpdateSectionId::kTermOffsets), term_offsets.data(),
-       term_offsets.size() * sizeof(uint64_t)},
-      {RawId(UpdateSectionId::kTermBlob), nullptr, term_offsets.back(),
+      {RawId(UpdateSectionId::kTermOffsets), layout.suffix_offsets.data(),
+       layout.suffix_offsets.size() * sizeof(uint64_t)},
+      {RawId(UpdateSectionId::kTermBlob), nullptr,
+       layout.suffix_offsets.back(),
        [&](const PieceSink& sink) {
          for (size_t t = 0; t < terms.size(); ++t) {
-           sink(fc ? terms[t].substr(layout.prefix_lens[t]) : terms[t]);
+           sink(terms[t].substr(layout.prefix_lens[t]));
          }
        }},
       {RawId(UpdateSectionId::kNodeKinds), kinds.data(), kinds.size()},
@@ -233,7 +207,7 @@ Result<std::string> EncodeUpdateBatch(const UpdateBatch& batch,
        layout.prefix_lens.size() * sizeof(uint32_t)},
   };
   UpdateHeader header{};
-  header.version = version;
+  header.version = kUpdateFormatVersionFrontCoded;
   header.sequence = batch.sequence;
   header.num_refs = batch.nodes.size();
   header.num_new_nodes = batch.num_new;
@@ -242,9 +216,8 @@ Result<std::string> EncodeUpdateBatch(const UpdateBatch& batch,
   header.num_added_triples = batch.added.size();
   header.num_terms = terms.size();
   std::ostringstream out(std::ios::binary);
-  RDFALIGN_RETURN_IF_ERROR(WriteContainer(
-      kUpdateFormat, &header, std::span(sections, UpdateSectionCount(version)),
-      out, "update fragment"));
+  RDFALIGN_RETURN_IF_ERROR(
+      WriteContainer(kUpdateFormat, &header, sections, out, "update fragment"));
   return std::move(out).str();
 }
 
@@ -256,76 +229,41 @@ Result<UpdateBatch> DecodeFromContainer(const Container& c,
                                         const std::string& name) {
   RDFALIGN_RETURN_IF_ERROR(c.VerifyChecksums(/*threads=*/1));
   const auto header = c.header<UpdateHeader>();
-  const bool fc = header.version == kUpdateFormatVersionFrontCoded;
-  const uint64_t refs = header.num_refs;
-  const uint64_t terms = header.num_terms;
-  const auto term_offsets = c.Section<uint64_t>(0);
-  const auto blob = c.Section<char>(1);
+  const TermSection terms = TermSectionAt(
+      c, header.version == kUpdateFormatVersionFrontCoded, 0, 1, 7);
   const auto kinds = c.Section<uint8_t>(2);
   const auto lex = c.Section<uint32_t>(3);
   const auto removed_nodes = c.Section<uint32_t>(4);
   const auto removed = c.Section<Triple>(5);
   const auto added = c.Section<Triple>(6);
-  const auto prefix_lens =
-      fc ? c.Section<uint32_t>(7) : std::span<const uint32_t>{};
+  const auto corrupt = [&name](std::string_view what) {
+    return Status::Corruption(std::string(what) + ": " + name);
+  };
 
-  if (fc) {
-    if (const char* defect = CheckFrontCodedGeometry(
-            prefix_lens, term_offsets, blob.size(), nullptr)) {
-      return Status::Corruption(std::string(defect) + ": " + name);
-    }
-  } else {
-    if (term_offsets[0] != 0 || term_offsets[terms] != blob.size()) {
-      return Status::Corruption("update term offsets malformed: " + name);
-    }
-    for (uint64_t t = 0; t < terms; ++t) {
-      if (term_offsets[t] > term_offsets[t + 1]) {
-        return Status::Corruption("update term offsets not monotonic: " +
-                                  name);
-      }
-    }
+  uint64_t arena_bytes = 0;
+  if (const char* defect = CheckTermSection(terms, &arena_bytes)) {
+    return corrupt(defect);
   }
-  // Front-coded decode: each term is its predecessor's head plus its own
-  // suffix; the geometry check above bounds every prefix length, and the
-  // strict-ascending check rejects crafted non-sorted dictionaries.
-  std::vector<std::string> decoded_terms;
-  if (fc) {
-    decoded_terms.resize(terms);
-    for (uint64_t t = 0; t < terms; ++t) {
-      std::string& cur = decoded_terms[t];
-      const uint32_t plen = prefix_lens[t];
-      const uint64_t suffix_len = term_offsets[t + 1] - term_offsets[t];
-      cur.reserve(plen + suffix_len);
-      if (plen > 0) cur.assign(decoded_terms[t - 1].data(), plen);
-      cur.append(blob.data() + term_offsets[t], suffix_len);
-      if (t > 0 && !(decoded_terms[t - 1] < cur)) {
-        return Status::Corruption(
-            "update front-coded terms not strictly ascending: " + name);
-      }
-    }
+  if (const char* defect = CheckNodeColumns(kinds, lex, header.num_terms)) {
+    return corrupt(defect);
+  }
+  // Nodes reference terms in any order, so every term is decoded to a
+  // view first and then copied into each node that uses it.
+  std::vector<char> arena;
+  arena.reserve(arena_bytes);
+  TermDecoder decoder(terms, &arena);
+  std::vector<std::string_view> views(header.num_terms);
+  for (std::string_view& view : views) {
+    if (const char* defect = decoder.Next(&view)) return corrupt(defect);
   }
 
   UpdateBatch batch;
   batch.sequence = header.sequence;
   batch.num_new = static_cast<uint32_t>(header.num_new_nodes);
-  batch.nodes.resize(refs);
-  for (uint64_t i = 0; i < refs; ++i) {
-    if (kinds[i] > static_cast<uint8_t>(TermKind::kBlank)) {
-      return Status::Corruption("update node kind out of range: " + name);
-    }
-    if (lex[i] >= terms) {
-      return Status::Corruption("update node references a missing term: " +
-                                name);
-    }
+  batch.nodes.resize(header.num_refs);
+  for (uint64_t i = 0; i < header.num_refs; ++i) {
     batch.nodes[i].kind = static_cast<TermKind>(kinds[i]);
-    if (fc) {
-      batch.nodes[i].lex = decoded_terms[lex[i]];
-    } else {
-      batch.nodes[i].lex.assign(
-          blob.data() + term_offsets[lex[i]],
-          static_cast<size_t>(term_offsets[lex[i] + 1] -
-                              term_offsets[lex[i]]));
-    }
+    batch.nodes[i].lex = views[lex[i]];
   }
   batch.removed_nodes.assign(removed_nodes.begin(), removed_nodes.end());
   batch.removed.assign(removed.begin(), removed.end());
@@ -432,7 +370,7 @@ Result<UpdateBatch> BuildUpdateBatch(const TripleGraph& base,
     if (s != kInvalidNode && p != kInvalidNode && o != kInvalidNode) {
       const Triple mapped{s, p, o};
       kept = std::binary_search(next_triples.begin(), next_triples.end(),
-                                mapped, TripleLess);
+                                mapped);
     }
     if (!kept) {
       batch.removed.push_back(
@@ -449,7 +387,7 @@ Result<UpdateBatch> BuildUpdateBatch(const TripleGraph& base,
     if (s != kInvalidNode && p != kInvalidNode && o != kInvalidNode) {
       const Triple mapped{s, p, o};
       existed = std::binary_search(base_triples.begin(), base_triples.end(),
-                                   mapped, TripleLess);
+                                   mapped);
     }
     if (!existed) {
       batch.added.push_back({ref_existing_next(t.s), ref_existing_next(t.p),
@@ -463,24 +401,20 @@ Result<UpdateBatch> BuildUpdateBatch(const TripleGraph& base,
     }
   }
 
-  std::sort(batch.removed.begin(), batch.removed.end(), TripleLess);
-  batch.removed.erase(std::unique(batch.removed.begin(), batch.removed.end(),
-                                  TripleEq),
+  std::sort(batch.removed.begin(), batch.removed.end());
+  batch.removed.erase(std::unique(batch.removed.begin(), batch.removed.end()),
                       batch.removed.end());
-  std::sort(batch.added.begin(), batch.added.end(), TripleLess);
-  batch.added.erase(
-      std::unique(batch.added.begin(), batch.added.end(), TripleEq),
-      batch.added.end());
+  std::sort(batch.added.begin(), batch.added.end());
+  batch.added.erase(std::unique(batch.added.begin(), batch.added.end()),
+                    batch.added.end());
   std::sort(batch.removed_nodes.begin(), batch.removed_nodes.end());
 
   RDFALIGN_RETURN_IF_ERROR(ValidateBatch(batch, "build"));
   return batch;
 }
 
-Status WriteUpdateFile(const UpdateBatch& batch, const std::string& path,
-                       const StoreWriteOptions& options) {
-  RDFALIGN_ASSIGN_OR_RETURN(std::string bytes,
-                            EncodeUpdateBatch(batch, options));
+Status WriteUpdateFile(const UpdateBatch& batch, const std::string& path) {
+  RDFALIGN_ASSIGN_OR_RETURN(std::string bytes, EncodeUpdateBatch(batch));
   return AtomicWriteFile(path, bytes.data(), bytes.size(), "update fragment");
 }
 

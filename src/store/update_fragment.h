@@ -47,12 +47,15 @@ namespace rdfalign::store {
 inline constexpr std::array<char, 8> kUpdateMagic = {'R', 'D', 'F', 'U',
                                                      'P', 'D', 'T', '1'};
 
+/// Version 1: raw term blob in first-use order. Read only — no writer
+/// emits it any more.
 inline constexpr uint32_t kUpdateFormatVersion = 1;
 
 /// Version 2 front-codes the term dictionary: terms are sorted
 /// lexicographically, kTermOffsets indexes *suffix* tails in kTermBlob,
 /// and a kTermPrefixLens section carries the shared-prefix lengths (see
-/// store/front_coding.h and docs/store.md "Front-coded dictionary").
+/// store/front_coding.h and docs/store.md "Front-coded dictionary"). The
+/// only version written.
 inline constexpr uint32_t kUpdateFormatVersionFrontCoded = 2;
 
 /// The payload sections of an update fragment, in file order. Version-1
@@ -117,11 +120,8 @@ struct UpdateBatch {
 
 /// Serializes a batch (validating its internal invariants: ref indexes in
 /// range, triple lists sorted and deduplicated, removed nodes ascending
-/// existing refs). The term dictionary is front-coded by default (format
-/// version 2); options.compress_dict = false writes the raw version-1
-/// layout byte for byte.
-Result<std::string> EncodeUpdateBatch(const UpdateBatch& batch,
-                                      const StoreWriteOptions& options = {});
+/// existing refs). The term dictionary is front-coded (format version 2).
+Result<std::string> EncodeUpdateBatch(const UpdateBatch& batch);
 
 /// Parses and fully validates a fragment image: magic/version/endianness,
 /// header and per-section checksums, section geometry, ref/term index
@@ -147,8 +147,7 @@ Result<UpdateBatch> BuildUpdateBatch(const TripleGraph& base,
                                      uint64_t sequence);
 
 /// File convenience wrappers over Encode/Decode.
-Status WriteUpdateFile(const UpdateBatch& batch, const std::string& path,
-                       const StoreWriteOptions& options = {});
+Status WriteUpdateFile(const UpdateBatch& batch, const std::string& path);
 Result<UpdateBatch> ReadUpdateFile(const std::string& path);
 
 /// Reads a whole file into a string (shared by the stream CLI verb).

@@ -542,25 +542,6 @@ TEST(DeltaStoreTest, RejectsOutOfRangeTermSourcesAndAddedTriples) {
   std::remove(path.c_str());
 }
 
-// The --no-dict-compress escape hatch: raw-mode deltas carry the
-// version-1 layout (no prefix-lens section) and still apply to the same
-// next graph, bit-identically.
-TEST(DeltaStoreTest, RawModeWritesVersion1) {
-  auto [g1, g2] = testing::RandomEvolvingPair(13);
-  const std::string path = TempPath("raw.delta");
-  store::StoreWriteOptions raw{.compress_dict = false};
-  ASSERT_TRUE(
-      WriteDelta(g1, g2, AlignMap(g1, g2), path, nullptr, raw).ok());
-  auto info = ReadDeltaInfo(path);
-  ASSERT_TRUE(info.ok()) << info.status();
-  EXPECT_EQ(info->version, store::kDeltaFormatVersion);
-  EXPECT_EQ(info->sections.size(), store::kNumDeltaSections);
-  auto applied = ApplyDelta(g1, path, nullptr);
-  ASSERT_TRUE(applied.ok()) << applied.status();
-  EXPECT_TRUE(GraphsBitIdentical(g2, *applied));
-  std::remove(path.c_str());
-}
-
 // Crafted front-coded prefix tables (section index 9, v2 only): a restart
 // entry with a nonzero prefix and a prefix longer than the previous term
 // must both fail structural validation, with or without checksums.

@@ -2,19 +2,17 @@
 // formats. The fixtures in tests/data/ were produced by a pre-front-coding
 // build of the CLI (`rdfalign build/diff/updates/archive`) and are
 // committed verbatim; this suite proves that the current build still
-// reads every one of them bit-identically, and that the
-// --no-dict-compress escape hatch reproduces the version-1 snapshot
-// bytes exactly. If any of these tests start failing, the format
-// compatibility promise of docs/store.md is broken.
+// reads every one of them bit-identically (no writer emits version 1 any
+// more, so these files are the only version-1 inputs the readers see).
+// If any of these tests start failing, the format compatibility promise
+// of docs/store.md is broken.
 //
 // RDFALIGN_SOURCE_DIR is injected by CMake so the suite can run from any
 // build directory.
 
 #include <cstdint>
-#include <fstream>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -36,15 +34,6 @@ constexpr uint64_t kBaseFingerprint = 0x476e94bc2da9aa60ull;
 
 std::string DataPath(const std::string& name) {
   return std::string(RDFALIGN_SOURCE_DIR) + "/tests/data/" + name;
-}
-
-std::vector<char> ReadAllBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  EXPECT_TRUE(in) << path;
-  std::vector<char> bytes(static_cast<size_t>(in.tellg()));
-  in.seekg(0);
-  in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  return bytes;
 }
 
 std::string TempPath(const std::string& name) {
@@ -85,25 +74,6 @@ TEST(FormatCompatTest, V1SnapshotsStillLoad) {
       ParseNTriplesFile(DataPath("fixture_next.nt"), nullptr);
   ASSERT_TRUE(next_parsed.ok()) << next_parsed.status();
   EXPECT_TRUE(BitIdentical(*next_parsed, *next));
-}
-
-// --no-dict-compress writes the exact bytes the pre-change build wrote:
-// re-encoding the parsed .nt fixture in raw mode must reproduce the
-// checked-in v1 snapshot byte for byte.
-TEST(FormatCompatTest, RawModeReproducesV1BytesExactly) {
-  for (const char* stem : {"base", "next"}) {
-    SCOPED_TRACE(stem);
-    auto parsed = ParseNTriplesFile(
-        DataPath(std::string("fixture_") + stem + ".nt"), nullptr);
-    ASSERT_TRUE(parsed.ok()) << parsed.status();
-    const std::string out = TempPath(std::string(stem) + ".snap");
-    store::StoreWriteOptions raw{.compress_dict = false};
-    ASSERT_TRUE(store::WriteSnapshot(*parsed, out, raw).ok());
-    EXPECT_EQ(ReadAllBytes(out),
-              ReadAllBytes(DataPath(std::string("fixture_") + stem +
-                                    "_v1.snap")));
-    std::remove(out.c_str());
-  }
 }
 
 // A v1 snapshot survives a load -> compressed (v2) save -> load cycle

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -32,11 +33,15 @@
 namespace rdfalign {
 namespace {
 
-/// Table positions of a format's front-coded dictionary sections.
-struct FrontCodedSections {
-  size_t suffix_offsets;
+/// Table positions of a format's dictionary sections and of the node
+/// label column that indexes them, and the header field bounding that
+/// column (the term count).
+struct DictSections {
+  size_t offsets;  ///< suffix offsets (version 2), term offsets (version 1)
   size_t blob;
-  size_t prefix_lens;
+  size_t prefix_lens;  ///< version 2 only
+  size_t node_lex;
+  size_t num_terms_at;  ///< header byte offset of the u64 term count
 };
 
 /// One format under test: how to write a small file of it, the reader
@@ -47,7 +52,7 @@ struct FormatCase {
   size_t header_size;
   std::function<Status(const std::string& path)> write;
   std::function<Status(const std::string& path)> load;
-  std::optional<FrontCodedSections> dict;
+  std::optional<DictSections> dict;
 };
 
 void PrintTo(const FormatCase& format, std::ostream* os) { *os << format.name; }
@@ -71,9 +76,11 @@ const Fixture& TheFixture() {
   return fixture;
 }
 
-Status LoadSnapshotWith(const std::string& path, bool mmap) {
+Status LoadSnapshotWith(const std::string& path, bool mmap,
+                        bool verify = true) {
   store::SnapshotLoadOptions options;
   options.use_mmap = mmap;
+  options.verify_checksums = verify;
   return store::LoadSnapshot(path, nullptr, options).status();
 }
 
@@ -81,7 +88,8 @@ std::vector<FormatCase> Formats() {
   const auto write_snapshot = [](const std::string& path) {
     return store::WriteSnapshot(TheFixture().base, path);
   };
-  const FrontCodedSections snapshot_dict{0, 1, 9};
+  const DictSections snapshot_dict{0, 1, 9, 3,
+                                   offsetof(store::SnapshotHeader, num_terms)};
   return {
       {"snapshot_buffered", sizeof(store::SnapshotHeader), write_snapshot,
        [](const std::string& path) { return LoadSnapshotWith(path, false); },
@@ -101,7 +109,7 @@ std::vector<FormatCase> Formats() {
        [](const std::string& path) {
          return store::ApplyDelta(TheFixture().base, path, nullptr).status();
        },
-       FrontCodedSections{1, 2, 9}},
+       DictSections{1, 2, 9, 4, offsetof(store::DeltaHeader, next_terms)}},
       {"archive", sizeof(store::ArchiveHeader),
        [](const std::string& path) {
          return store::SaveArchive(TheFixture().archive, path);
@@ -120,7 +128,7 @@ std::vector<FormatCase> Formats() {
        [](const std::string& path) {
          return store::ReadUpdateFile(path).status();
        },
-       FrontCodedSections{0, 1, 7}},
+       DictSections{0, 1, 7, 3, offsetof(store::UpdateHeader, num_terms)}},
   };
 }
 
@@ -173,6 +181,15 @@ class StoreMutationTest : public ::testing::TestWithParam<FormatCase> {
     StoreAt<uint64_t>(bytes, TrailerOffset() + 16, 0);
     StoreAt(bytes, TrailerOffset() + 16,
             store::Checksum64(bytes.data(), PayloadStart()));
+  }
+
+  /// Recomputes every section checksum, then reseals the header.
+  void ResealChecksums(std::vector<char>& bytes) const {
+    std::vector<store::SectionEntry> table = table_;
+    for (store::SectionEntry& sec : table) {
+      sec.checksum = store::Checksum64(bytes.data() + sec.offset, sec.size);
+    }
+    Reseal(bytes, table);
   }
 
   /// Loads `bytes` and expects a rejection of an allowed kind; returns the
@@ -295,8 +312,8 @@ class FrontCodedMutationTest : public StoreMutationTest {
   void SetUp() override {
     StoreMutationTest::SetUp();
     if (HasFatalFailure()) return;
-    const FrontCodedSections& dict = *GetParam().dict;
-    const store::SectionEntry& offsets = table_[dict.suffix_offsets];
+    const DictSections& dict = *GetParam().dict;
+    const store::SectionEntry& offsets = table_[dict.offsets];
     const store::SectionEntry& prefixes = table_[dict.prefix_lens];
     const size_t count = prefixes.size / sizeof(uint32_t);
     ASSERT_EQ(offsets.size, (count + 1) * sizeof(uint64_t));
@@ -321,15 +338,6 @@ class FrontCodedMutationTest : public StoreMutationTest {
   }
   size_t SuffixLen(size_t i) const {
     return suffix_offsets_[i + 1] - suffix_offsets_[i];
-  }
-
-  /// Recomputes every section checksum, then reseals the header.
-  void ResealChecksums(std::vector<char>& bytes) const {
-    std::vector<store::SectionEntry> table = table_;
-    for (store::SectionEntry& sec : table) {
-      sec.checksum = store::Checksum64(bytes.data() + sec.offset, sec.size);
-    }
-    Reseal(bytes, table);
   }
 
   void ExpectRejectedWith(std::vector<char> bytes, const std::string& what,
@@ -393,6 +401,105 @@ TEST_P(FrontCodedMutationTest, RejectsNonzeroRestartPrefix) {
   ExpectRejectedWith(crafted, "restart prefix 1", "restart term");
 }
 
+// Hostile term sections and node label columns in both dictionary
+// layouts, resealed so only the shared term-section and node-column
+// checks (store/front_coding.h) can object. No writer emits version 1, so
+// the committed fixtures in tests/data/ are its only inputs: the base
+// snapshot (buffered and mmap, checksums on and off), the delta applied
+// to it, and the update fragment.
+class TermSectionMutationTest : public StoreMutationTest {
+ protected:
+  Status ExpectCorruption(std::vector<char> bytes, const std::string& what) {
+    ResealChecksums(bytes);
+    const Status st = ExpectRejected(bytes, what);
+    EXPECT_TRUE(st.IsCorruption()) << what << ": " << st;
+    return st;
+  }
+};
+
+TEST_P(TermSectionMutationTest, RejectsTermOffsetPastTheBlob) {
+  const store::SectionEntry& offsets = table_[GetParam().dict->offsets];
+  ASSERT_GE(offsets.size, 2 * sizeof(uint64_t)) << "the file needs a term";
+  std::vector<char> crafted = bytes_;
+  StoreAt<uint64_t>(crafted, offsets.offset + sizeof(uint64_t),
+                    uint64_t{1} << 40);
+  const Status st = ExpectCorruption(crafted, "term offset 1 past the blob");
+  EXPECT_TRUE(st.message().find("not monotonic") != std::string::npos ||
+              st.message().find("span") != std::string::npos)
+      << st;
+}
+
+TEST_P(TermSectionMutationTest, RejectsNodeLabelPastTheTerms) {
+  const DictSections& dict = *GetParam().dict;
+  const store::SectionEntry& node_lex = table_[dict.node_lex];
+  ASSERT_GE(node_lex.size, sizeof(uint32_t)) << "the file needs a node";
+  const uint64_t num_terms = LoadAt<uint64_t>(bytes_, dict.num_terms_at);
+  std::vector<char> crafted = bytes_;
+  StoreAt<uint32_t>(crafted, node_lex.offset,
+                    static_cast<uint32_t>(num_terms));
+  ExpectCorruption(crafted, "node 0 labelled with term " +
+                                std::to_string(num_terms));
+}
+
+std::string DataPath(const std::string& name) {
+  return std::string(RDFALIGN_SOURCE_DIR) + "/tests/data/" + name;
+}
+
+/// Writes a committed fixture by copying it.
+std::function<Status(const std::string&)> CopyFixture(std::string name) {
+  return [name](const std::string& path) {
+    std::error_code ec;
+    std::filesystem::copy_file(
+        DataPath(name), path, std::filesystem::copy_options::overwrite_existing,
+        ec);
+    return ec ? Status::IOError(ec.message() + ": " + name) : Status::OK();
+  };
+}
+
+/// The base the committed version-1 delta applies to.
+const TripleGraph& V1Base() {
+  static const TripleGraph base = [] {
+    auto loaded = store::LoadSnapshot(DataPath("fixture_base_v1.snap"),
+                                      nullptr);
+    EXPECT_TRUE(loaded.ok()) << loaded.status();
+    return loaded.ok() ? std::move(loaded).value() : TripleGraph();
+  }();
+  return base;
+}
+
+std::vector<FormatCase> V1Formats() {
+  const DictSections snapshot_dict{0, 1, 0, 3,
+                                   offsetof(store::SnapshotHeader, num_terms)};
+  const auto snapshot = [&](const char* name, bool mmap, bool verify) {
+    return FormatCase{name, sizeof(store::SnapshotHeader),
+                      CopyFixture("fixture_base_v1.snap"),
+                      [mmap, verify](const std::string& path) {
+                        return LoadSnapshotWith(path, mmap, verify);
+                      },
+                      snapshot_dict};
+  };
+  std::vector<FormatCase> formats = {
+      snapshot("v1_snapshot_buffered", false, true),
+      snapshot("v1_snapshot_buffered_unverified", false, false),
+      snapshot("v1_snapshot_mmap", true, true),
+      snapshot("v1_snapshot_mmap_unverified", true, false),
+  };
+  formats.push_back(
+      {"v1_delta", sizeof(store::DeltaHeader), CopyFixture("fixture_v1.delta"),
+       [](const std::string& path) {
+         return store::ApplyDelta(V1Base(), path, nullptr).status();
+       },
+       DictSections{1, 2, 0, 4, offsetof(store::DeltaHeader, next_terms)}});
+  formats.push_back(
+      {"v1_update_fragment", sizeof(store::UpdateHeader),
+       CopyFixture("fixture_v1.rdfu"),
+       [](const std::string& path) {
+         return store::ReadUpdateFile(path).status();
+       },
+       DictSections{0, 1, 0, 3, offsetof(store::UpdateHeader, num_terms)}});
+  return formats;
+}
+
 std::string FormatName(const ::testing::TestParamInfo<FormatCase>& info) {
   return info.param.name;
 }
@@ -407,6 +514,10 @@ INSTANTIATE_TEST_SUITE_P(Formats, StoreMutationTest,
                          ::testing::ValuesIn(Formats()), FormatName);
 INSTANTIATE_TEST_SUITE_P(Formats, FrontCodedMutationTest,
                          ::testing::ValuesIn(FrontCodedFormats()), FormatName);
+INSTANTIATE_TEST_SUITE_P(Formats, TermSectionMutationTest,
+                         ::testing::ValuesIn(FrontCodedFormats()), FormatName);
+INSTANTIATE_TEST_SUITE_P(V1Fixtures, TermSectionMutationTest,
+                         ::testing::ValuesIn(V1Formats()), FormatName);
 
 }  // namespace
 }  // namespace rdfalign

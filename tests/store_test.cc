@@ -126,50 +126,56 @@ TEST(SnapshotStoreTest, RoundTripsEmptyGraph) {
 }
 
 // save(load(save(G))) is byte-identical to save(G): loading renumbers
-// nothing, and saving a loaded graph reproduces the file — in both the
-// front-coded default and the raw version-1 mode.
+// nothing, and saving a loaded graph reproduces the file.
 TEST(SnapshotStoreTest, ResaveIsByteIdentical) {
-  for (bool compress : {true, false}) {
-    const store::StoreWriteOptions write{.compress_dict = compress};
-    for (uint64_t seed = 1; seed <= 10; ++seed) {
-      testing::RandomGraphOptions options;
-      options.seed = seed;
-      TripleGraph g = testing::RandomGraph(options);
-      const std::string path1 = TempPath("first.snap");
-      const std::string path2 = TempPath("second.snap");
-      ASSERT_TRUE(WriteSnapshot(g, path1, write).ok());
-      auto loaded = LoadSnapshot(path1, nullptr);
-      ASSERT_TRUE(loaded.ok()) << loaded.status();
-      ASSERT_TRUE(WriteSnapshot(*loaded, path2, write).ok());
-      EXPECT_EQ(ReadFileBytes(path1), ReadFileBytes(path2))
-          << "seed " << seed << " compress " << compress;
-      std::remove(path1.c_str());
-      std::remove(path2.c_str());
-    }
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    testing::RandomGraphOptions options;
+    options.seed = seed;
+    TripleGraph g = testing::RandomGraph(options);
+    const std::string path1 = TempPath("first.snap");
+    const std::string path2 = TempPath("second.snap");
+    ASSERT_TRUE(WriteSnapshot(g, path1).ok());
+    auto loaded = LoadSnapshot(path1, nullptr);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    ASSERT_TRUE(WriteSnapshot(*loaded, path2).ok());
+    EXPECT_EQ(ReadFileBytes(path1), ReadFileBytes(path2)) << "seed " << seed;
+    std::remove(path1.c_str());
+    std::remove(path2.c_str());
   }
 }
 
 // The point of front coding: on prefix-heavy graphs (IRIs share
-// namespaces by construction) the compressed snapshot is strictly
-// smaller than the raw one, and both load to the same graph.
-TEST(SnapshotStoreTest, CompressedSnapshotIsSmaller) {
+// namespaces by construction) the front-coded dictionary sections are
+// strictly smaller than the raw version-1 layout of the same terms,
+// whose size is (terms + 1) x 8 offset bytes plus the whole terms.
+TEST(SnapshotStoreTest, CompressedDictionaryIsSmaller) {
   testing::RandomGraphOptions options;
   options.seed = 3;
   options.uris = 40;
   options.edges = 120;
   TripleGraph g = testing::RandomGraph(options);
-  const std::string compressed = TempPath("fc.snap");
-  const std::string raw = TempPath("raw.snap");
-  ASSERT_TRUE(WriteSnapshot(g, compressed).ok());
-  ASSERT_TRUE(WriteSnapshot(g, raw, {.compress_dict = false}).ok());
-  EXPECT_LT(ReadFileBytes(compressed).size(), ReadFileBytes(raw).size());
-  auto from_fc = LoadSnapshot(compressed, nullptr);
-  auto from_raw = LoadSnapshot(raw, nullptr);
-  ASSERT_TRUE(from_fc.ok()) << from_fc.status();
-  ASSERT_TRUE(from_raw.ok()) << from_raw.status();
-  EXPECT_TRUE(LabeledGraphsEqual(*from_fc, *from_raw));
-  std::remove(compressed.c_str());
-  std::remove(raw.c_str());
+  const std::string path = TempPath("fc.snap");
+  ASSERT_TRUE(WriteSnapshot(g, path).ok());
+  auto info = ReadSnapshotInfo(path);
+  ASSERT_TRUE(info.ok()) << info.status();
+  auto loaded = LoadSnapshot(path, nullptr);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_TRUE(LabeledGraphsEqual(g, *loaded));
+  // A fresh load holds exactly the snapshot's terms.
+  uint64_t raw_dict_bytes = (loaded->dict().size() + 1) * sizeof(uint64_t);
+  for (LexId id = 0; id < loaded->dict().size(); ++id) {
+    raw_dict_bytes += loaded->dict().Get(id).size();
+  }
+  uint64_t fc_dict_bytes = 0;
+  for (const auto& sec : info->sections) {
+    if (sec.id == store::SectionId::kTermOffsets ||
+        sec.id == store::SectionId::kTermBlob ||
+        sec.id == store::SectionId::kTermPrefixLens) {
+      fc_dict_bytes += sec.size;
+    }
+  }
+  EXPECT_LT(fc_dict_bytes, raw_dict_bytes);
+  std::remove(path.c_str());
 }
 
 TEST(SnapshotStoreTest, RandomGraphsRoundTripBothPaths) {
@@ -258,21 +264,6 @@ TEST(SnapshotStoreTest, InfoReportsCounts) {
   EXPECT_EQ(info->num_nodes, g.NumNodes());
   EXPECT_EQ(info->num_triples, g.NumEdges());
   EXPECT_EQ(info->sections.size(), store::kNumSectionsV2);
-  std::remove(path.c_str());
-}
-
-// The --no-dict-compress escape hatch writes the raw version-1 layout.
-TEST(SnapshotStoreTest, RawModeWritesVersion1) {
-  TripleGraph g = MixedGraph();
-  const std::string path = TempPath("raw.snap");
-  ASSERT_TRUE(WriteSnapshot(g, path, {.compress_dict = false}).ok());
-  auto info = ReadSnapshotInfo(path);
-  ASSERT_TRUE(info.ok()) << info.status();
-  EXPECT_EQ(info->version, store::kFormatVersion);
-  EXPECT_EQ(info->sections.size(), store::kNumSections);
-  auto loaded = LoadSnapshot(path, nullptr);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_TRUE(LabeledGraphsEqual(g, *loaded));
   std::remove(path.c_str());
 }
 

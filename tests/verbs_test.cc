@@ -189,37 +189,6 @@ TEST(VerbsTest, TrivialAlignReportsItsClassCount) {
   RemoveChain(prefix);
 }
 
-// The --no-dict-compress escape hatch reaches the writer through every
-// writing verb: a raw-mode build reports the version-1 layout while the
-// default build reports version 2, and both load to the same graph.
-TEST(VerbsTest, NoDictCompressBuildsVersion1Snapshots) {
-  const std::string prefix = ScratchPrefix();
-  VerbResult gen = RunVerb({"gen", prefix, "--scale=0.02", "--seed=3",
-                            "--versions=1"});
-  ASSERT_EQ(gen.exit_code, 0) << gen.error;
-  const std::string raw = prefix + "_raw.snap";
-  ASSERT_EQ(
-      RunVerb({"build", prefix + "1.nt", raw, "--no-dict-compress"})
-          .exit_code,
-      0);
-  VerbResult info = RunVerb({"info", raw, "--json"});
-  ASSERT_EQ(info.exit_code, 0) << info.error;
-  EXPECT_NE(info.output.find("\"version\": 1"), std::string::npos);
-
-  const std::string fc = prefix + "_fc.snap";
-  ASSERT_EQ(RunVerb({"build", prefix + "1.nt", fc}).exit_code, 0);
-  // Bit-for-bit the same graph either way: a trivial alignment of the
-  // two loads is perfect.
-  VerbResult check = RunVerb({"align", raw, fc, "--method=trivial",
-                              "--json"});
-  ASSERT_EQ(check.exit_code, 0) << check.error;
-  EXPECT_NE(check.output.find("\"aligned_edge_ratio\": 1.000000"),
-            std::string::npos);
-  for (const std::string& p : {prefix + "1.nt", raw, fc}) {
-    std::remove(p.c_str());
-  }
-}
-
 // Literals carrying JSON-hostile bytes — control characters, quotes,
 // backslashes — survive the build -> snapshot -> align pipeline, and the
 // JSON bodies the verbs render around them never contain a raw control
