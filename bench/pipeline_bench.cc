@@ -24,7 +24,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/harness.h"
@@ -279,48 +278,25 @@ bool RunPoint(double scale_point, uint64_t seed, size_t runs,
 
 bool WriteJson(const std::string& path, const std::vector<PointResult>& points,
                double scale, uint64_t seed, size_t runs) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return false;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"pipeline_phases\",\n");
-  std::fprintf(f, "  \"scale\": %g,\n", scale);
-  std::fprintf(f, "  \"seed\": %llu,\n", (unsigned long long)seed);
-  std::fprintf(f, "  \"runs\": %zu,\n", runs);
-  std::fprintf(f, "  \"hardware_threads\": %u,\n",
-               std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"provenance\": \"single-process wall clock; "
-               "hardware_threads records the recording box — on a 1-core "
-               "box the threads_sweep is expected to stay flat\",\n");
-  std::fprintf(f, "  \"points\": [\n");
-  for (size_t i = 0; i < points.size(); ++i) {
-    const PointResult& r = points[i];
-    std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"scale_point\": %g,\n", r.scale_point);
-    std::fprintf(f, "      \"nodes\": %zu,\n", r.nodes);
-    std::fprintf(f, "      \"edges\": %zu,\n", r.edges);
-    std::fprintf(f, "      \"load_ms\": %.2f,\n", r.load_ms);
-    std::fprintf(f, "      \"merge_ms\": %.2f,\n", r.merge_ms);
-    std::fprintf(f, "      \"refine_ms\": %.2f,\n", r.refine_ms);
-    std::fprintf(f, "      \"partops_ms\": %.2f,\n", r.partops_ms);
-    std::fprintf(f, "      \"overlap_ms\": %.2f,\n", r.overlap_ms);
-    std::fprintf(f, "      \"stats_ms\": %.2f,\n", r.stats_ms);
-    std::fprintf(f, "      \"nonrefine_ms\": %.2f,\n", r.NonRefineTotal());
-    std::fprintf(f, "      \"threads_sweep\": [");
-    for (size_t s = 0; s < r.sweep.size(); ++s) {
-      std::fprintf(f, "%s{\"threads\": %zu, \"ms\": %.2f}",
-                   s > 0 ? ", " : "", r.sweep[s].first, r.sweep[s].second);
-    }
-    std::fprintf(f, "],\n");
-    std::fprintf(f, "      \"sweep_equal\": %s\n",
-                 r.sweep_equal ? "true" : "false");
-    std::fprintf(f, "    }%s\n", i + 1 < points.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  return true;
+  bench::JsonReport json("pipeline_phases", scale, seed, runs,
+                         "single-process wall clock; hardware_threads "
+                         "records the recording box — on a 1-core box the "
+                         "threads_sweep is expected to stay flat");
+  json.Array("points", points, [&](const PointResult& r) {
+    json.Field("scale_point", "%g", r.scale_point);
+    json.Field("nodes", "%zu", r.nodes);
+    json.Field("edges", "%zu", r.edges);
+    json.Field("load_ms", "%.2f", r.load_ms);
+    json.Field("merge_ms", "%.2f", r.merge_ms);
+    json.Field("refine_ms", "%.2f", r.refine_ms);
+    json.Field("partops_ms", "%.2f", r.partops_ms);
+    json.Field("overlap_ms", "%.2f", r.overlap_ms);
+    json.Field("stats_ms", "%.2f", r.stats_ms);
+    json.Field("nonrefine_ms", "%.2f", r.NonRefineTotal());
+    json.Raw("threads_sweep", bench::SweepJson(r.sweep));
+    json.Bool("sweep_equal", r.sweep_equal);
+  });
+  return json.Write(path);
 }
 
 }  // namespace

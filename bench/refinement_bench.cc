@@ -18,7 +18,6 @@
 
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/harness.h"
@@ -103,50 +102,29 @@ ContextualResult RunContextual(const std::string& name,
 bool WriteJson(const std::string& path, const std::vector<RunResult>& runs,
                const std::vector<ContextualResult>& contextual, double scale,
                uint64_t seed) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return false;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"refinement_fixpoint\",\n");
-  std::fprintf(f, "  \"scale\": %g,\n", scale);
-  std::fprintf(f, "  \"seed\": %llu,\n", (unsigned long long)seed);
-  std::fprintf(f, "  \"hardware_threads\": %u,\n",
-               std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"provenance\": \"single-process wall clock of one "
-               "serial fixpoint after an untimed warm-up\",\n");
-  std::fprintf(f, "  \"workloads\": [\n");
-  for (size_t i = 0; i < runs.size(); ++i) {
-    const RunResult& r = runs[i];
-    std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"name\": \"%s\",\n", r.name.c_str());
-    std::fprintf(f, "      \"nodes\": %zu,\n", r.nodes);
-    std::fprintf(f, "      \"edges\": %zu,\n", r.edges);
-    std::fprintf(f, "      \"refine_ms\": %.2f,\n", r.refine_ms);
-    std::fprintf(f, "      \"iterations\": %zu,\n", r.iterations);
-    std::fprintf(f, "      \"resignings\": %zu,\n", r.resignings);
-    std::fprintf(f, "      \"signature_bytes\": %zu,\n", r.signature_bytes);
-    std::fprintf(f, "      \"final_classes\": %zu\n", r.final_classes);
-    std::fprintf(f, "    }%s\n", i + 1 < runs.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"contextual\": [\n");
-  for (size_t i = 0; i < contextual.size(); ++i) {
-    const ContextualResult& r = contextual[i];
-    std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"name\": \"%s\",\n", r.name.c_str());
-    std::fprintf(f, "      \"nodes\": %zu,\n", r.nodes);
-    std::fprintf(f, "      \"edges\": %zu,\n", r.edges);
-    std::fprintf(f, "      \"predicate_only\": %zu,\n", r.predicate_only);
-    std::fprintf(f, "      \"refine_ms\": %.2f,\n", r.refine_ms);
-    std::fprintf(f, "      \"resignings\": %zu,\n", r.resignings);
-    std::fprintf(f, "      \"final_classes\": %zu\n", r.final_classes);
-    std::fprintf(f, "    }%s\n", i + 1 < contextual.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  return true;
+  bench::JsonReport json("refinement_fixpoint", scale, seed, std::nullopt,
+                         "single-process wall clock of one serial fixpoint "
+                         "after an untimed warm-up");
+  json.Array("workloads", runs, [&](const RunResult& r) {
+    json.Str("name", r.name);
+    json.Field("nodes", "%zu", r.nodes);
+    json.Field("edges", "%zu", r.edges);
+    json.Field("refine_ms", "%.2f", r.refine_ms);
+    json.Field("iterations", "%zu", r.iterations);
+    json.Field("resignings", "%zu", r.resignings);
+    json.Field("signature_bytes", "%zu", r.signature_bytes);
+    json.Field("final_classes", "%zu", r.final_classes);
+  });
+  json.Array("contextual", contextual, [&](const ContextualResult& r) {
+    json.Str("name", r.name);
+    json.Field("nodes", "%zu", r.nodes);
+    json.Field("edges", "%zu", r.edges);
+    json.Field("predicate_only", "%zu", r.predicate_only);
+    json.Field("refine_ms", "%.2f", r.refine_ms);
+    json.Field("resignings", "%zu", r.resignings);
+    json.Field("final_classes", "%zu", r.final_classes);
+  });
+  return json.Write(path);
 }
 
 }  // namespace

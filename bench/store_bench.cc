@@ -38,7 +38,6 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/harness.h"
@@ -447,110 +446,71 @@ bool WriteJson(const std::string& path, const std::vector<PointResult>& points,
                const std::vector<DictPointResult>& dict_points,
                const std::vector<DeltaPointResult>& delta_points,
                double scale, uint64_t seed, size_t runs) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return false;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"store_load\",\n");
-  std::fprintf(f, "  \"scale\": %g,\n", scale);
-  std::fprintf(f, "  \"seed\": %llu,\n", (unsigned long long)seed);
-  std::fprintf(f, "  \"runs\": %zu,\n", runs);
-  std::fprintf(f, "  \"hardware_threads\": %u,\n",
-               std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"provenance\": \"single-process wall clock; "
-               "hardware_threads records the recording box — on a 1-core "
-               "box the replay_threads_sweep is expected to stay flat; "
-               "dict_points raw_dict_bytes is computed as (terms + 1) x 8 + "
-               "total term bytes, the version-1 layout no writer emits\",\n");
-  std::fprintf(f, "  \"points\": [\n");
-  for (size_t i = 0; i < points.size(); ++i) {
-    const PointResult& r = points[i];
-    std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"scale_point\": %g,\n", r.scale_point);
-    std::fprintf(f, "      \"nodes\": %zu,\n", r.nodes);
-    std::fprintf(f, "      \"edges\": %zu,\n", r.edges);
-    std::fprintf(f, "      \"terms\": %zu,\n", r.terms);
-    std::fprintf(f, "      \"nt_bytes\": %llu,\n",
-                 (unsigned long long)r.nt_bytes);
-    std::fprintf(f, "      \"snap_bytes\": %llu,\n",
-                 (unsigned long long)r.snap_bytes);
-    std::fprintf(f, "      \"reparse_ms\": %.2f,\n", r.reparse_ms);
-    std::fprintf(f, "      \"load_ms\": %.2f,\n", r.load_ms);
-    std::fprintf(f, "      \"mmap_ms\": %.2f,\n", r.mmap_ms);
-    std::fprintf(f, "      \"speedup_load\": %.2f,\n",
-                 r.load_ms > 0 ? r.reparse_ms / r.load_ms : 0.0);
-    std::fprintf(f, "      \"speedup_mmap\": %.2f,\n",
-                 r.mmap_ms > 0 ? r.reparse_ms / r.mmap_ms : 0.0);
-    std::fprintf(f, "      \"equal\": %s\n", r.equal ? "true" : "false");
-    std::fprintf(f, "    }%s\n", i + 1 < points.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"dict_points\": [\n");
-  for (size_t i = 0; i < dict_points.size(); ++i) {
-    const DictPointResult& r = dict_points[i];
-    std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"scale_point\": %g,\n", r.scale_point);
-    std::fprintf(f, "      \"nodes\": %zu,\n", r.nodes);
-    std::fprintf(f, "      \"edges\": %zu,\n", r.edges);
-    std::fprintf(f, "      \"terms\": %zu,\n", r.terms);
-    std::fprintf(f, "      \"fc_file_bytes\": %llu,\n",
-                 (unsigned long long)r.fc_file_bytes);
-    std::fprintf(f, "      \"raw_dict_bytes\": %llu,\n",
-                 (unsigned long long)r.raw_dict_bytes);
-    std::fprintf(f, "      \"fc_dict_bytes\": %llu,\n",
-                 (unsigned long long)r.fc_dict_bytes);
-    std::fprintf(f, "      \"dict_ratio\": %.2f,\n",
-                 r.fc_dict_bytes > 0
-                     ? static_cast<double>(r.raw_dict_bytes) /
-                           static_cast<double>(r.fc_dict_bytes)
-                     : 0.0);
-    std::fprintf(f, "      \"fc_load_ms\": %.2f,\n", r.fc_load_ms);
-    std::fprintf(f, "      \"fc_intern_mtps\": %.2f,\n", r.fc_intern_mtps);
-    std::fprintf(f, "      \"roundtrip\": %s,\n",
-                 r.roundtrip ? "true" : "false");
-    std::fprintf(f, "      \"equal\": %s\n", r.equal ? "true" : "false");
-    std::fprintf(f, "    }%s\n", i + 1 < dict_points.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"delta_points\": [\n");
-  for (size_t i = 0; i < delta_points.size(); ++i) {
-    const DeltaPointResult& r = delta_points[i];
-    std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"scale_point\": %g,\n", r.scale_point);
-    std::fprintf(f, "      \"versions\": %zu,\n", r.versions);
-    std::fprintf(f, "      \"nodes\": %zu,\n", r.nodes);
-    std::fprintf(f, "      \"edges\": %zu,\n", r.edges);
-    std::fprintf(f, "      \"snap_total_bytes\": %llu,\n",
-                 (unsigned long long)r.snap_total_bytes);
-    std::fprintf(f, "      \"delta_total_bytes\": %llu,\n",
-                 (unsigned long long)r.delta_total_bytes);
-    std::fprintf(f, "      \"bytes_ratio\": %.2f,\n",
-                 r.delta_total_bytes > 0
-                     ? static_cast<double>(r.snap_total_bytes) /
-                           static_cast<double>(r.delta_total_bytes)
-                     : 0.0);
-    std::fprintf(f, "      \"reparse_ms\": %.2f,\n", r.reparse_ms);
-    std::fprintf(f, "      \"snap_load_ms\": %.2f,\n", r.snap_load_ms);
-    std::fprintf(f, "      \"replay_ms\": %.2f,\n", r.replay_ms);
-    std::fprintf(f, "      \"speedup_replay_vs_reparse\": %.2f,\n",
-                 r.replay_ms > 0 ? r.reparse_ms / r.replay_ms : 0.0);
-    std::fprintf(f, "      \"replay_threads_sweep\": [");
-    for (size_t s = 0; s < r.replay_sweep.size(); ++s) {
-      std::fprintf(f, "%s{\"threads\": %zu, \"ms\": %.2f}",
-                   s > 0 ? ", " : "", r.replay_sweep[s].first,
-                   r.replay_sweep[s].second);
-    }
-    std::fprintf(f, "],\n");
-    std::fprintf(f, "      \"sweep_equal\": %s,\n",
-                 r.sweep_equal ? "true" : "false");
-    std::fprintf(f, "      \"equal\": %s\n", r.equal ? "true" : "false");
-    std::fprintf(f, "    }%s\n", i + 1 < delta_points.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  return true;
+  bench::JsonReport json(
+      "store_load", scale, seed, runs,
+      "single-process wall clock; hardware_threads records the recording "
+      "box — on a 1-core box the replay_threads_sweep is expected to stay "
+      "flat; dict_points raw_dict_bytes is computed as (terms + 1) x 8 + "
+      "total term bytes, the version-1 layout no writer emits");
+  json.Array("points", points, [&](const PointResult& r) {
+    json.Field("scale_point", "%g", r.scale_point);
+    json.Field("nodes", "%zu", r.nodes);
+    json.Field("edges", "%zu", r.edges);
+    json.Field("terms", "%zu", r.terms);
+    json.Field("nt_bytes", "%llu", (unsigned long long)r.nt_bytes);
+    json.Field("snap_bytes", "%llu", (unsigned long long)r.snap_bytes);
+    json.Field("reparse_ms", "%.2f", r.reparse_ms);
+    json.Field("load_ms", "%.2f", r.load_ms);
+    json.Field("mmap_ms", "%.2f", r.mmap_ms);
+    json.Field("speedup_load", "%.2f",
+               r.load_ms > 0 ? r.reparse_ms / r.load_ms : 0.0);
+    json.Field("speedup_mmap", "%.2f",
+               r.mmap_ms > 0 ? r.reparse_ms / r.mmap_ms : 0.0);
+    json.Bool("equal", r.equal);
+  });
+  json.Array("dict_points", dict_points, [&](const DictPointResult& r) {
+    json.Field("scale_point", "%g", r.scale_point);
+    json.Field("nodes", "%zu", r.nodes);
+    json.Field("edges", "%zu", r.edges);
+    json.Field("terms", "%zu", r.terms);
+    json.Field("fc_file_bytes", "%llu", (unsigned long long)r.fc_file_bytes);
+    json.Field("raw_dict_bytes", "%llu",
+               (unsigned long long)r.raw_dict_bytes);
+    json.Field("fc_dict_bytes", "%llu", (unsigned long long)r.fc_dict_bytes);
+    json.Field("dict_ratio", "%.2f",
+               r.fc_dict_bytes > 0
+                   ? static_cast<double>(r.raw_dict_bytes) /
+                         static_cast<double>(r.fc_dict_bytes)
+                   : 0.0);
+    json.Field("fc_load_ms", "%.2f", r.fc_load_ms);
+    json.Field("fc_intern_mtps", "%.2f", r.fc_intern_mtps);
+    json.Bool("roundtrip", r.roundtrip);
+    json.Bool("equal", r.equal);
+  });
+  json.Array("delta_points", delta_points, [&](const DeltaPointResult& r) {
+    json.Field("scale_point", "%g", r.scale_point);
+    json.Field("versions", "%zu", r.versions);
+    json.Field("nodes", "%zu", r.nodes);
+    json.Field("edges", "%zu", r.edges);
+    json.Field("snap_total_bytes", "%llu",
+               (unsigned long long)r.snap_total_bytes);
+    json.Field("delta_total_bytes", "%llu",
+               (unsigned long long)r.delta_total_bytes);
+    json.Field("bytes_ratio", "%.2f",
+               r.delta_total_bytes > 0
+                   ? static_cast<double>(r.snap_total_bytes) /
+                         static_cast<double>(r.delta_total_bytes)
+                   : 0.0);
+    json.Field("reparse_ms", "%.2f", r.reparse_ms);
+    json.Field("snap_load_ms", "%.2f", r.snap_load_ms);
+    json.Field("replay_ms", "%.2f", r.replay_ms);
+    json.Field("speedup_replay_vs_reparse", "%.2f",
+               r.replay_ms > 0 ? r.reparse_ms / r.replay_ms : 0.0);
+    json.Raw("replay_threads_sweep", bench::SweepJson(r.replay_sweep));
+    json.Bool("sweep_equal", r.sweep_equal);
+    json.Bool("equal", r.equal);
+  });
+  return json.Write(path);
 }
 
 }  // namespace

@@ -44,7 +44,16 @@ class Args {
   std::optional<long long> GetInt(const std::string& name, long long fallback,
                                   std::string* error) const;
 
-  double GetDouble(const std::string& name, double fallback) const;
+  // Same contract for numbers: "--scale=1.5abc" or an out-of-range
+  // value is reported into `error` and becomes nullopt.
+  std::optional<double> GetDouble(const std::string& name, double fallback,
+                                  std::string* error) const;
+
+  /// Unchecked form for callers without an error channel: a malformed
+  /// value reads as `fallback`.
+  double GetDouble(const std::string& name, double fallback) const {
+    return GetDouble(name, fallback, nullptr).value_or(fallback);
+  }
 
   /// Flags this command does not understand -> usage error (message into
   /// `error`, caller prints usage and exits 2).

@@ -5,9 +5,9 @@
 //
 // Latencies are kept as a bounded ring of raw samples per verb (newest
 // overwrite oldest beyond kMaxSamples), and percentiles are computed at
-// snapshot time with util/stats.h Percentile — the same definition the
-// benches print, so `stats` and BENCH_service.json numbers are
-// comparable.
+// snapshot time with util/stats.h Percentile — the same definition
+// e2ebench's latency figures use, so `stats` and the daemon_hot workload
+// numbers are comparable.
 
 #ifndef RDFALIGN_SERVICE_METRICS_H_
 #define RDFALIGN_SERVICE_METRICS_H_

@@ -1,6 +1,5 @@
 #include "service/verbs.h"
 
-#include <filesystem>
 #include <utility>
 
 #include "core/delta.h"
@@ -181,17 +180,18 @@ Status RunInfo(const InfoRequest& req, InfoResponse* resp) {
   }
   if (store::LooksLikeUpdateFile(req.path)) {
     resp->kind = "update";
+    // One read: the reported size is the size of the bytes decoded.
+    RDFALIGN_ASSIGN_OR_RETURN(const std::string bytes,
+                              store::ReadFileBytes(req.path));
     RDFALIGN_ASSIGN_OR_RETURN(const store::UpdateBatch batch,
-                              store::ReadUpdateFile(req.path));
+                              store::DecodeUpdateBatch(bytes, req.path));
     resp->update.sequence = batch.sequence;
     resp->update.refs = batch.nodes.size();
     resp->update.new_nodes = batch.num_new;
     resp->update.removed_nodes = batch.removed_nodes.size();
     resp->update.removed_triples = batch.removed.size();
     resp->update.added_triples = batch.added.size();
-    std::error_code ec;
-    const auto size = std::filesystem::file_size(req.path, ec);
-    resp->update.file_bytes = ec ? 0 : static_cast<uint64_t>(size);
+    resp->update.file_bytes = bytes.size();
     return Status::OK();
   }
   // Snapshot, or the error path for files that are no store format at all.
@@ -210,6 +210,41 @@ Status RunInfo(const InfoRequest& req, InfoResponse* resp) {
   }
   return Status::OK();
 }
+
+namespace {
+
+/// The `sections` member of `info --json`, last in every kind's object.
+template <typename Section, typename NameFn>
+void SectionsToJson(const std::vector<Section>& sections, NameFn name,
+                    JsonBuf* b) {
+  b->Appendf("  \"sections\": [\n");
+  for (size_t i = 0; i < sections.size(); ++i) {
+    const Section& s = sections[i];
+    b->Appendf(
+        "    {\"name\": \"%s\", \"offset\": %llu, \"bytes\": %llu, "
+        "\"checksum\": \"%016llx\"}%s\n",
+        std::string(name(s.id)).c_str(), (unsigned long long)s.offset,
+        (unsigned long long)s.size, (unsigned long long)s.checksum,
+        i + 1 < sections.size() ? "," : "");
+  }
+  b->Appendf("  ]\n");
+}
+
+/// The section table of text `info`; `width` pads the kind's longest
+/// section name.
+template <typename Section, typename NameFn>
+void SectionsToText(const std::vector<Section>& sections, NameFn name,
+                    int width, JsonBuf* b) {
+  b->Appendf("  sections:\n");
+  for (const Section& s : sections) {
+    b->Appendf("    %-*s offset=%-10llu bytes=%-10llu checksum=%016llx\n",
+               width, std::string(name(s.id)).c_str(),
+               (unsigned long long)s.offset, (unsigned long long)s.size,
+               (unsigned long long)s.checksum);
+  }
+}
+
+}  // namespace
 
 std::string InfoToJson(const InfoResponse& r) {
   JsonBuf b;
@@ -235,18 +270,8 @@ std::string InfoToJson(const InfoResponse& r) {
         (unsigned long long)info.num_new_terms);
     b.Appendf("  \"file_bytes\": %llu,\n",
               (unsigned long long)info.file_size);
-    b.Appendf("  \"sections\": [\n");
-    for (size_t i = 0; i < info.sections.size(); ++i) {
-      const auto& s = info.sections[i];
-      b.Appendf(
-          "    {\"name\": \"%s\", \"offset\": %llu, \"bytes\": %llu, "
-          "\"checksum\": \"%016llx\"}%s\n",
-          std::string(store::DeltaSectionName(s.id)).c_str(),
-          (unsigned long long)s.offset, (unsigned long long)s.size,
-          (unsigned long long)s.checksum,
-          i + 1 < info.sections.size() ? "," : "");
-    }
-    b.Appendf("  ]\n}\n");
+    SectionsToJson(info.sections, store::DeltaSectionName, &b);
+    b.Appendf("}\n");
     return b.Take();
   }
   if (r.kind == "archive") {
@@ -263,18 +288,8 @@ std::string InfoToJson(const InfoResponse& r) {
     }
     b.Appendf("  \"file_bytes\": %llu,\n",
               (unsigned long long)info.file_size);
-    b.Appendf("  \"sections\": [\n");
-    for (size_t i = 0; i < info.sections.size(); ++i) {
-      const auto& s = info.sections[i];
-      b.Appendf(
-          "    {\"name\": \"%s\", \"offset\": %llu, \"bytes\": %llu, "
-          "\"checksum\": \"%016llx\"}%s\n",
-          std::string(store::ArchiveSectionName(s.id)).c_str(),
-          (unsigned long long)s.offset, (unsigned long long)s.size,
-          (unsigned long long)s.checksum,
-          i + 1 < info.sections.size() ? "," : "");
-    }
-    b.Appendf("  ]\n}\n");
+    SectionsToJson(info.sections, store::ArchiveSectionName, &b);
+    b.Appendf("}\n");
     return b.Take();
   }
   if (r.kind == "update") {
@@ -305,18 +320,8 @@ std::string InfoToJson(const InfoResponse& r) {
               (unsigned long long)r.fingerprint);
   }
   b.Appendf("  \"file_bytes\": %llu,\n", (unsigned long long)info.file_size);
-  b.Appendf("  \"sections\": [\n");
-  for (size_t i = 0; i < info.sections.size(); ++i) {
-    const auto& s = info.sections[i];
-    b.Appendf(
-        "    {\"name\": \"%s\", \"offset\": %llu, \"bytes\": %llu, "
-        "\"checksum\": \"%016llx\"}%s\n",
-        std::string(store::SectionName(s.id)).c_str(),
-        (unsigned long long)s.offset, (unsigned long long)s.size,
-        (unsigned long long)s.checksum,
-        i + 1 < info.sections.size() ? "," : "");
-  }
-  b.Appendf("  ]\n}\n");
+  SectionsToJson(info.sections, store::SectionName, &b);
+  b.Appendf("}\n");
   return b.Take();
 }
 
@@ -341,14 +346,7 @@ std::string InfoToText(const InfoResponse& r) {
         (unsigned long long)info.num_new_terms);
     b.Appendf("  file size      : %llu bytes\n",
               (unsigned long long)info.file_size);
-    b.Appendf("  sections:\n");
-    for (const auto& s : info.sections) {
-      b.Appendf(
-          "    %-16s offset=%-10llu bytes=%-10llu checksum=%016llx\n",
-          std::string(store::DeltaSectionName(s.id)).c_str(),
-          (unsigned long long)s.offset, (unsigned long long)s.size,
-          (unsigned long long)s.checksum);
-    }
+    SectionsToText(info.sections, store::DeltaSectionName, 16, &b);
     return b.Take();
   }
   if (r.kind == "archive") {
@@ -359,14 +357,7 @@ std::string InfoToText(const InfoResponse& r) {
               (unsigned long long)info.num_versions);
     b.Appendf("  file size      : %llu bytes\n",
               (unsigned long long)info.file_size);
-    b.Appendf("  sections:\n");
-    for (const auto& s : info.sections) {
-      b.Appendf(
-          "    %-13s offset=%-10llu bytes=%-10llu checksum=%016llx\n",
-          std::string(store::ArchiveSectionName(s.id)).c_str(),
-          (unsigned long long)s.offset, (unsigned long long)s.size,
-          (unsigned long long)s.checksum);
-    }
+    SectionsToText(info.sections, store::ArchiveSectionName, 13, &b);
     return b.Take();
   }
   if (r.kind == "update") {
@@ -393,14 +384,7 @@ std::string InfoToText(const InfoResponse& r) {
             (unsigned long long)info.num_terms);
   b.Appendf("  file size      : %llu bytes\n",
             (unsigned long long)info.file_size);
-  b.Appendf("  sections:\n");
-  for (const auto& s : info.sections) {
-    b.Appendf(
-        "    %-12s offset=%-10llu bytes=%-10llu checksum=%016llx\n",
-        std::string(store::SectionName(s.id)).c_str(),
-        (unsigned long long)s.offset, (unsigned long long)s.size,
-        (unsigned long long)s.checksum);
-  }
+  SectionsToText(info.sections, store::SectionName, 12, &b);
   return b.Take();
 }
 
@@ -879,7 +863,9 @@ bool ParseGenRequest(const Args& args, GenRequest* req, ParseError* error) {
                       "rdfalign gen: --versions must be in [1, 1000]");
   }
   req->versions = *versions;
-  req->scale = args.GetDouble("scale", 1.0);
+  const std::optional<double> scale = args.GetDouble("scale", 1.0, &message);
+  if (!scale) return PlainError(error, message);
+  req->scale = *scale;
   if (!(req->scale > 0.0) || req->scale > 1e6) {
     return PlainError(error, "rdfalign gen: --scale must be in (0, 1e6]");
   }

@@ -150,7 +150,7 @@ Result<UpdateBatch> BuildUpdateBatch(const TripleGraph& base,
 Status WriteUpdateFile(const UpdateBatch& batch, const std::string& path);
 Result<UpdateBatch> ReadUpdateFile(const std::string& path);
 
-/// Reads a whole file into a string (shared by the stream CLI verb).
+/// Reads a whole file into a string (the stream client, `info`).
 Result<std::string> ReadFileBytes(const std::string& path);
 
 }  // namespace rdfalign::store

@@ -29,8 +29,9 @@
 // Batch-equivalence contract: after any update sequence, the live
 // partition and the cumulatively applied alignment-pair deltas are
 // bit-identical (after dense renumbering) to running the batch aligner on
-// the final versions — CheckBatchEquivalence pins it, tests/stream_test.cc
-// and bench/stream_bench.cc enforce it.
+// the final versions — CheckBatchEquivalence pins it; tests/stream_test.cc
+// enforces it after every batch (random chains and the category
+// generator), and e2ebench's stream_push workload checks it end to end.
 
 #ifndef RDFALIGN_STREAM_STREAM_ALIGNER_H_
 #define RDFALIGN_STREAM_STREAM_ALIGNER_H_

@@ -1,8 +1,7 @@
-// Small shared statistics helpers. Percentile started life in
-// bench/service_bench.cc; it moved here when the daemon's per-verb
-// latency metrics (service/metrics.h) needed the same definition — one
-// implementation, so the bench tables and the `stats` verb cannot
-// disagree about what a p50 is.
+// Small shared statistics helpers. Percentile is the one nearest-rank
+// definition used by the daemon's per-verb latency metrics
+// (service/metrics.h) and by e2ebench's latency figures, so the `stats`
+// verb and the benchmark cannot disagree about what a p50 is.
 
 #ifndef RDFALIGN_UTIL_STATS_H_
 #define RDFALIGN_UTIL_STATS_H_

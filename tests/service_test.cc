@@ -1,7 +1,8 @@
 // End-to-end service coverage: a real Server on an ephemeral port driven
 // through the Client — protocol round-trips, CLI-parity of bodies and
 // exit codes, persistent connections, concurrent clients sharing the
-// cache, endpoint parsing, and graceful Stop() with requests in flight.
+// cache, answers independent of the worker count, endpoint parsing, and
+// graceful Stop() with requests in flight.
 
 #include "service/server.h"
 
@@ -234,6 +235,51 @@ TEST_F(ServiceTest, ConcurrentClientsShareTheCache) {
   EXPECT_EQ(stats.misses, 2u);
   EXPECT_EQ(stats.hits, 2u * (kClients * kRequests));
 
+  RemoveChain(prefix);
+}
+
+// The daemon's answers must not depend on its worker count: one fixed
+// serial trace replayed against servers with 1, 2, 4 and 8 workers renders
+// the same bodies once the timing lines and the per-server delta path are
+// scrubbed.
+TEST_F(ServiceTest, WorkerCountsAnswerByteIdentically) {
+  const std::string prefix = ScratchPrefix();
+  const auto [v1, v2] = MakeVersionPair(prefix);
+  std::string reference;
+  for (size_t workers : {1u, 2u, 4u, 8u}) {
+    const std::string delta =
+        prefix + "_w" + std::to_string(workers) + ".delta";
+    StartServer(workers);
+    Client client = Connect();
+    std::string bodies;
+    for (const std::vector<std::string>& tokens :
+         {std::vector<std::string>{"info", v1, "--json"},
+          {"info", v2, "--json"},
+          {"align", v1, v2, "--method=trivial", "--json"},
+          {"align", v1, v2, "--method=hybrid", "--json"},
+          {"diff", v1, v2, delta, "--json"},
+          {"info", delta, "--json"},
+          {"align", v1, v2, "--method=hybrid"},
+          {"cache", "stats", "--json"}}) {
+      Result<ClientResponse> resp = client.Call(tokens);
+      ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+      ASSERT_EQ(resp->exit_code, 0) << tokens[0] << ": " << resp->error;
+      std::string body = ScrubTimings(resp->body);
+      for (size_t pos; (pos = body.find(delta)) != std::string::npos;) {
+        body.replace(pos, delta.size(), "<delta>");
+      }
+      bodies += body;
+    }
+    // Hang up first: Stop() drains until connected clients leave.
+    client.Close();
+    server_->Stop();
+    std::remove(delta.c_str());
+    if (reference.empty()) {
+      reference = bodies;
+    } else {
+      EXPECT_EQ(bodies, reference) << workers << " workers";
+    }
+  }
   RemoveChain(prefix);
 }
 

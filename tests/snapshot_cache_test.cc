@@ -1,6 +1,7 @@
-// SnapshotCache coverage: LRU eviction order, byte-capacity accounting
-// against LoadedGraphBytes, refcounted eviction under in-flight requests,
-// content-fingerprint keying across distinct paths, and (in the
+// SnapshotCache coverage: hits served without re-reading the file, LRU
+// eviction order, byte-capacity accounting against LoadedGraphBytes,
+// refcounted eviction under in-flight requests, content-fingerprint
+// keying across distinct paths, and (in the
 // *Parallel* suite, which runs in the CI TSan lane) concurrent hammering
 // at {1,2,4,8} threads.
 
@@ -10,6 +11,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -88,6 +90,21 @@ TEST(SnapshotCacheTest, HitMissAndStats) {
   EXPECT_EQ(stats.entries, 2u);
   EXPECT_EQ(stats.resident_bytes,
             first->loaded->resident_bytes + other->loaded->resident_bytes);
+
+  // A hit never reads the file again. Overwrite `a` with garbage of the
+  // same size and restore its mtime: a warm acquire still serves the
+  // resident graph, while a load after Clear() reads and rejects it.
+  const auto mtime = std::filesystem::last_write_time(a);
+  const uintmax_t size = std::filesystem::file_size(a);
+  std::ofstream(a, std::ios::binary | std::ios::trunc)
+      << std::string(size, 'x');
+  std::filesystem::last_write_time(a, mtime);
+  Result<AcquiredGraph> warm = cache.Acquire(a, CommonOptions(), false);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_TRUE(warm->cache_hit);
+  EXPECT_EQ(warm->loaded.get(), first->loaded.get());
+  cache.Clear();
+  EXPECT_FALSE(cache.Acquire(a, CommonOptions(), false).ok());
 
   std::remove(a.c_str());
   std::remove(b.c_str());

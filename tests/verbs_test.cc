@@ -252,6 +252,12 @@ TEST(VerbsTest, ExactFlagErrorMessages) {
        "rdfalign gen: --versions must be in [1, 1000]"},
       {{"gen", "x", "--scale=0"},
        "rdfalign gen: --scale must be in (0, 1e6]"},
+      // A number with trailing garbage is no number (no silent prefix).
+      {{"gen", "x", "--scale=1.5abc"},
+       "rdfalign: --scale expects a number, got '1.5abc'"},
+      {{"gen", "x", "--scale=abc"},
+       "rdfalign: --scale expects a number, got 'abc'"},
+      {{"gen", "x", "--scale="}, "rdfalign: --scale expects a number, got ''"},
       {{"gen", "x", "--seed=-1"}, "rdfalign gen: --seed must be >= 0"},
   };
   for (const Case& c : cases) {
@@ -361,6 +367,31 @@ TEST(VerbsTest, CachedSourceRendersIdenticalBodies) {
 
   RemoveChain(prefix);
   std::remove((prefix + "_c.delta").c_str());
+}
+
+TEST(VerbsTest, UpdatesThenInfoReportFragmentBytes) {
+  const std::string prefix = ScratchPrefix();
+  const auto [v1, v2] = MakeVersionPair(prefix);
+  const std::string fragment = prefix + ".rdfu";
+
+  const VerbResult updates =
+      RunVerb({"updates", v1, v2, fragment, "--seq=3", "--json"});
+  ASSERT_EQ(updates.exit_code, 0) << updates.error;
+  const VerbResult info = RunVerb({"info", fragment, "--json"});
+  ASSERT_EQ(info.exit_code, 0) << info.error;
+  EXPECT_NE(info.output.find("\"kind\": \"update\""), std::string::npos)
+      << info.output;
+  EXPECT_EQ(JsonFindInt(info.output, "sequence", -1), 3);
+
+  // info reports the size of the bytes it decoded: the size `updates`
+  // wrote, which is the size on disk.
+  const long long file_bytes = JsonFindInt(info.output, "file_bytes", -1);
+  EXPECT_EQ(file_bytes, JsonFindInt(updates.output, "fragment_bytes", -2));
+  std::ifstream in(fragment, std::ios::binary | std::ios::ate);
+  EXPECT_EQ(file_bytes, static_cast<long long>(in.tellg()));
+
+  RemoveChain(prefix);
+  std::remove(fragment.c_str());
 }
 
 TEST(VerbsTest, GenReportsPartialFilesOnFailure) {
